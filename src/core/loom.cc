@@ -389,24 +389,30 @@ void Loom::RegisterMetrics() {
   }
   if (summary_cache_ != nullptr) {
     // The cache keeps its own atomics (query threads bump them with no
-    // registry in sight); a collection hook folds them into gauges at each
-    // Snapshot() so scrapes see current values without double counting.
-    Gauge* hits = metrics_->AddGauge("loom_cache_hits_total");
-    Gauge* misses = metrics_->AddGauge("loom_cache_misses_total");
-    Gauge* evictions = metrics_->AddGauge("loom_cache_evictions_total");
-    Gauge* invalidated = metrics_->AddGauge("loom_cache_invalidated_total");
+    // registry in sight); a collection hook folds them in at each
+    // Snapshot(). Counts are counters advanced by the delta since the
+    // hook's previous run (hooks run under the registry mutex, one at a
+    // time), so engines sharing a registry sum; levels are gauges.
+    Counter* hits = metrics_->AddCounter("loom_cache_hits_total");
+    Counter* misses = metrics_->AddCounter("loom_cache_misses_total");
+    Counter* evictions = metrics_->AddCounter("loom_cache_evictions_total");
+    Counter* invalidated = metrics_->AddCounter("loom_cache_invalidated_total");
+    Counter* bypassed = metrics_->AddCounter("loom_cache_bypassed_total");
     Gauge* bytes_used = metrics_->AddGauge("loom_cache_used_bytes");
-    Gauge* entries = metrics_->AddGauge("loom_cache_entries_total");
+    Gauge* entries = metrics_->AddGauge("loom_cache_entries");
     SummaryCache* cache = summary_cache_.get();
     cache_hook_id_ = metrics_->AddCollectionHook(
-        [cache, hits, misses, evictions, invalidated, bytes_used, entries] {
+        [cache, hits, misses, evictions, invalidated, bypassed, bytes_used, entries,
+         prev = SummaryCacheStats{}]() mutable {
           const SummaryCacheStats s = cache->stats();
-          hits->Set(static_cast<double>(s.hits));
-          misses->Set(static_cast<double>(s.misses));
-          evictions->Set(static_cast<double>(s.evictions));
-          invalidated->Set(static_cast<double>(s.invalidated));
+          hits->Increment(s.hits - prev.hits);
+          misses->Increment(s.misses - prev.misses);
+          evictions->Increment(s.evictions - prev.evictions);
+          invalidated->Increment(s.invalidated - prev.invalidated);
+          bypassed->Increment(s.bypassed - prev.bypassed);
           bytes_used->Set(static_cast<double>(s.bytes_used));
           entries->Set(static_cast<double>(s.entries));
+          prev = s;
         });
   }
   {
@@ -1318,38 +1324,165 @@ std::unique_ptr<ChunkPrefetcher::Job> Loom::SubmitCandidatePrefetch(const Candid
   return prefetcher_.Submit(record_log_.get(), std::move(ranges), options_.prefetch_depth);
 }
 
-Result<std::shared_ptr<const ChunkSummary>> Loom::ReadSummary(uint64_t addr, uint64_t chunk_tail,
-                                                              QueryTrace* trace) const {
-  if (addr + 4 > chunk_tail) {
-    return Status::OutOfRange("summary past snapshot");
+Loom::SummaryLoader::SummaryLoader(const Loom& loom, const CandidatePlan& plan,
+                                   const Snapshot& snap, size_t begin, size_t end)
+    : loom_(loom),
+      plan_(plan),
+      snap_(snap),
+      end_(end),
+      insert_(loom.summary_cache_ != nullptr && !plan.use_preloaded && !plan.addrs.empty() &&
+              plan.addrs.back() - plan.addrs.front() <= loom.summary_cache_->capacity_bytes()),
+      batch_begin_(begin) {}
+
+Result<std::shared_ptr<const ChunkSummary>> Loom::SummaryLoader::Get(size_t c,
+                                                                     QueryTrace* trace) {
+  if (plan_.use_preloaded) {
+    return plan_.preloaded[c];
   }
-  if (summary_cache_ != nullptr) {
-    uint32_t frame_len = 0;
-    auto hit = summary_cache_->Lookup(addr, &frame_len);
-    // Frames are appended whole before the publish fence, so a snapshot tail
-    // always sits at a frame boundary; the length check alone bounds the hit
-    // to this query's snapshot.
-    if (hit != nullptr && addr + 4 + frame_len <= chunk_tail) {
-      ++trace->cache_hits;
-      return hit;
+  if (c < batch_begin_ || c >= batch_begin_ + slots_.size()) {
+    Fill(c, trace);
+  }
+  Slot& slot = slots_[c - batch_begin_];
+  if (!slot.status.ok()) {
+    return slot.status;
+  }
+  return slot.summary;
+}
+
+void Loom::SummaryLoader::Fill(size_t c, QueryTrace* trace) {
+  const uint64_t t0 = trace->detailed ? MetricsNowNanos() : 0;
+  const std::vector<uint64_t>& addrs = plan_.addrs;
+  const uint64_t chunk_tail = snap_.chunk_tail;
+  // The batch is `c` plus every following candidate whose frame provably
+  // ends within one buffer of c's frame start. Frames are appended back to
+  // back in candidate order, so the next candidate's address bounds a
+  // frame's end; the plan's last frame is bounded by its length prefix.
+  const uint64_t window_end = addrs[c] + kSummaryBatchBytes;
+  size_t e = c + 1;
+  while (e < end_ && (e + 1 < addrs.size() ? addrs[e + 1] : addrs[e] + 4) <= window_end) {
+    ++e;
+  }
+  batch_begin_ = c;
+  slots_.assign(e - c, Slot{});
+  SummaryCache* cache = loom_.summary_cache_.get();
+  for (size_t j = c; j < e; ++j) {
+    if (addrs[j] + 4 > chunk_tail) {
+      slots_[j - c].status = Status::OutOfRange("summary past snapshot");
+      continue;
+    }
+    if (cache != nullptr) {
+      uint32_t frame_len = 0;
+      auto hit = cache->Lookup(addrs[j], &frame_len);
+      // Frames are appended whole before the publish fence, so a snapshot
+      // tail always sits at a frame boundary; the length check alone bounds
+      // the hit to this query's snapshot.
+      if (hit != nullptr && addrs[j] + 4 + frame_len <= chunk_tail) {
+        slots_[j - c].summary = std::move(hit);
+        ++trace->cache_hits;
+        continue;
+      }
+    }
+    ++trace->cache_misses;
+  }
+  // A missed slot is one the probe left empty and error-free.
+  auto missed = [&](size_t j) {
+    const Slot& slot = slots_[j - c];
+    return slot.summary == nullptr && slot.status.ok();
+  };
+  for (size_t r0 = c; r0 < e;) {
+    if (!missed(r0)) {
+      ++r0;
+      continue;
+    }
+    size_t r1 = r0 + 1;
+    while (r1 < e && missed(r1)) {
+      ++r1;
+    }
+    LoadRun(r0, r1, trace);
+    r0 = r1;
+  }
+  if (trace->detailed) {
+    trace->summary_nanos += MetricsNowNanos() - t0;
+  }
+}
+
+void Loom::SummaryLoader::LoadRun(size_t r0, size_t r1, QueryTrace* trace) {
+  const std::vector<uint64_t>& addrs = plan_.addrs;
+  const uint64_t lo = addrs[r0];
+  uint64_t hi;
+  if (r1 < addrs.size()) {
+    hi = addrs[r1];
+  } else {
+    // The plan's last frame: twice its predecessor's stride predicts its
+    // end (summaries of one query are alike in size); a frame reaching
+    // further is read on its own.
+    const uint64_t stride = r1 >= 2 ? addrs[r1 - 1] - addrs[r1 - 2] : 0;
+    hi = addrs[r1 - 1] + 4 + 2 * stride;
+  }
+  hi = std::min({hi, lo + kSummaryBatchBytes, snap_.chunk_tail});
+  if (hi > lo) {
+    const size_t need = static_cast<size_t>(hi - lo);
+    if (need > buf_cap_) {
+      buf_cap_ = std::max(need, std::min(2 * buf_cap_, kSummaryBatchBytes));
+      buf_.reset(new uint8_t[buf_cap_]);
+    }
+    ++trace->summary_reads;
+    const Status st = loom_.chunk_log_->Read(lo, std::span<uint8_t>(buf_.get(), need));
+    if (!st.ok()) {
+      for (size_t j = r0; j < r1; ++j) {
+        slots_[j - batch_begin_].status = st;
+      }
+      return;
     }
   }
-  ++trace->cache_misses;
-  uint8_t len_buf[4];
-  LOOM_RETURN_IF_ERROR(chunk_log_->Read(addr, std::span<uint8_t>(len_buf, 4)));
-  const uint32_t len = LoadU32(len_buf);
-  if (len == 0xFFFFFFFFu || addr + 4 + len > chunk_tail) {
+  uint64_t decoded = 0;
+  for (size_t j = r0; j < r1; ++j) {
+    auto summary = DecodeFrame(addrs[j], lo, hi, trace);
+    if (!summary.ok()) {
+      slots_[j - batch_begin_].status = summary.status();
+      continue;
+    }
+    ++decoded;
+    slots_[j - batch_begin_].summary = std::move(summary.value());
+  }
+  if (!insert_ && loom_.summary_cache_ != nullptr && decoded > 0) {
+    loom_.summary_cache_->NoteBypassed(decoded);
+  }
+}
+
+Result<std::shared_ptr<const ChunkSummary>> Loom::SummaryLoader::DecodeFrame(uint64_t addr,
+                                                                             uint64_t lo,
+                                                                             uint64_t hi,
+                                                                             QueryTrace* trace) {
+  const HybridLog& log = *loom_.chunk_log_;
+  uint32_t len;
+  if (addr >= lo && addr + 4 <= hi) {
+    len = LoadU32(buf_.get() + (addr - lo));
+  } else {
+    uint8_t len_buf[4];
+    ++trace->summary_reads;
+    LOOM_RETURN_IF_ERROR(log.Read(addr, std::span<uint8_t>(len_buf, 4)));
+    len = LoadU32(len_buf);
+  }
+  if (len == 0xFFFFFFFFu || addr + 4 + len > snap_.chunk_tail) {
     return Status::DataLoss("corrupt chunk summary frame");
   }
-  std::vector<uint8_t> buf(len);
-  LOOM_RETURN_IF_ERROR(chunk_log_->Read(addr + 4, std::span<uint8_t>(buf.data(), len)));
-  auto decoded = ChunkSummary::Decode(std::span<const uint8_t>(buf.data(), buf.size()));
+  std::span<const uint8_t> body;
+  if (addr >= lo && addr + 4 + len <= hi) {
+    body = std::span<const uint8_t>(buf_.get() + (addr + 4 - lo), len);
+  } else {
+    frame_.resize(len);
+    ++trace->summary_reads;
+    LOOM_RETURN_IF_ERROR(log.Read(addr + 4, std::span<uint8_t>(frame_.data(), len)));
+    body = std::span<const uint8_t>(frame_.data(), len);
+  }
+  auto decoded = ChunkSummary::Decode(body);
   if (!decoded.ok()) {
     return decoded.status();
   }
   auto summary = std::make_shared<const ChunkSummary>(std::move(decoded.value()));
-  if (summary_cache_ != nullptr) {
-    summary_cache_->Insert(addr, len, summary);
+  if (insert_) {
+    loom_.summary_cache_->Insert(addr, len, summary);
   }
   return summary;
 }
@@ -1802,20 +1935,15 @@ Status Loom::PlanCandidates(const Snapshot& snap, TimeRange t_range, CandidatePl
   return Status::Ok();
 }
 
-Result<std::shared_ptr<const ChunkSummary>> Loom::LoadCandidate(const CandidatePlan& plan,
-                                                                size_t c, const Snapshot& snap,
-                                                                TimeRange t_range,
+Result<std::shared_ptr<const ChunkSummary>> Loom::LoadCandidate(SummaryLoader& summaries,
+                                                                size_t c, TimeRange t_range,
                                                                 QueryTrace* trace) const {
-  std::shared_ptr<const ChunkSummary> summary;
-  if (plan.use_preloaded) {
-    summary = plan.preloaded[c];
-  } else {
-    auto loaded = ReadSummary(plan.addrs[c], snap.chunk_tail, trace);
-    if (!loaded.ok()) {
-      return loaded.status();
-    }
-    summary = std::move(loaded.value());
+  auto loaded = summaries.Get(c, trace);
+  if (!loaded.ok()) {
+    return loaded.status();
   }
+  std::shared_ptr<const ChunkSummary> summary = std::move(loaded.value());
+  const Snapshot& snap = summaries.snap();
   const ChunkSummary& s = *summary;
   // The retention floor is re-read here — per candidate, on whichever thread
   // processes it — so a floor that advances mid-query drops exactly the
@@ -1834,8 +1962,9 @@ Status Loom::CollectCandidateSummaries(
   out.clear();
   CandidatePlan plan;
   LOOM_RETURN_IF_ERROR(PlanCandidates(snap, t_range, &plan, trace));
+  SummaryLoader summaries(*this, plan, snap, 0, plan.size());
   for (size_t c = 0; c < plan.size(); ++c) {
-    auto summary = LoadCandidate(plan, c, snap, t_range, trace);
+    auto summary = LoadCandidate(summaries, c, t_range, trace);
     if (!summary.ok()) {
       return summary.status();
     }
@@ -1854,7 +1983,7 @@ bool Loom::CanRunParallel() const {
 
 Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
                                        const IndexSnapshot& idx, TimeRange t_range,
-                                       const Snapshot& snap, const CandidatePlan& plan, size_t c,
+                                       SummaryLoader& summaries, size_t c,
                                        ChunkPrefetcher::Job* ring, ChunkOutcome* out,
                                        QueryTrace* trace) const {
   // Take this candidate's ring slot unconditionally — pruned candidates must
@@ -1863,7 +1992,7 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
   if (ring != nullptr) {
     pre = ring->Take(c);
   }
-  auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
+  auto loaded = LoadCandidate(summaries, c, t_range, trace);
   if (!loaded.ok()) {
     return loaded.status();
   }
@@ -1872,6 +2001,7 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
     return Status::Ok();
   }
   out->summary = std::move(loaded.value());
+  const Snapshot& snap = summaries.snap();
   const ChunkSummary& s = *out->summary;
   bool has_presence = false;
   uint64_t presence_count = 0;
@@ -1930,14 +2060,14 @@ Status Loom::ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
 
 Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                                   TimeRange t_range, ValueRange v_range, uint32_t first_bin,
-                                  uint32_t last_bin, const Snapshot& snap,
-                                  const CandidatePlan& plan, size_t c, ChunkPrefetcher::Job* ring,
-                                  ChunkOutcome* out, QueryTrace* trace) const {
+                                  uint32_t last_bin, SummaryLoader& summaries, size_t c,
+                                  ChunkPrefetcher::Job* ring, ChunkOutcome* out,
+                                  QueryTrace* trace) const {
   std::optional<std::vector<uint8_t>> pre;
   if (ring != nullptr) {
     pre = ring->Take(c);
   }
-  auto loaded = LoadCandidate(plan, c, snap, t_range, trace);
+  auto loaded = LoadCandidate(summaries, c, t_range, trace);
   if (!loaded.ok()) {
     return loaded.status();
   }
@@ -1946,6 +2076,7 @@ Status Loom::ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const I
     return Status::Ok();
   }
   out->summary = std::move(loaded.value());
+  const Snapshot& snap = summaries.snap();
   const ChunkSummary& s = *out->summary;
   bool has_presence = false;
   uint64_t presence_count = 0;
@@ -2529,10 +2660,11 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
               return;  // a sibling morsel failed; the query returns its error
             }
             const auto [begin, end] = morsels[mi];
+            SummaryLoader summaries(*this, plan, snap, begin, end);
             for (size_t c = begin; c < end; ++c) {
               Status st =
                   ProcessScanCandidate(source_id, index_id, idx.value(), t_range, v_range,
-                                       first_bin, last_bin, snap, plan, c, ring.get(),
+                                       first_bin, last_bin, summaries, c, ring.get(),
                                        &outcomes[c], &morsel_traces[mi]);
               if (!st.ok()) {
                 morsel_status[mi] = st;
@@ -2568,11 +2700,12 @@ Status Loom::IndexedScanValuesImpl(uint32_t source_id, uint32_t index_id, TimeRa
         return Status::Ok();
       }
     } else {
+      SummaryLoader summaries(*this, plan, snap, 0, n);
       ChunkOutcome o;
       for (size_t c = 0; c < n; ++c) {
         o = ChunkOutcome{};
         LOOM_RETURN_IF_ERROR(ProcessScanCandidate(source_id, index_id, idx.value(), t_range,
-                                                  v_range, first_bin, last_bin, snap, plan, c,
+                                                  v_range, first_bin, last_bin, summaries, c,
                                                   ring.get(), &o, trace));
         if (!emit_outcome(o)) {
           return Status::Ok();
@@ -2813,8 +2946,9 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
           return;  // a sibling morsel failed; the query returns its error
         }
         const auto [begin, end] = morsels[mi];
+        SummaryLoader summaries(*this, plan, snap, begin, end);
         for (size_t c = begin; c < end; ++c) {
-          Status st = ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap, plan, c,
+          Status st = ProcessAggregateCandidate(source_id, index_id, idx, t_range, summaries, c,
                                                 ring.get(), &outcomes[c], &morsel_traces[mi]);
           if (!st.ok()) {
             morsel_status[mi] = st;
@@ -2844,11 +2978,12 @@ Status Loom::AccumulateIndexed(uint32_t source_id, uint32_t index_id, const Inde
     } else {
       // Serial: process + merge one candidate at a time, keeping memory
       // bounded by a single chunk's matches as before.
+      SummaryLoader summaries(*this, plan, snap, 0, n);
       ChunkOutcome o;
       for (size_t c = 0; c < n; ++c) {
         o = ChunkOutcome{};
-        LOOM_RETURN_IF_ERROR(ProcessAggregateCandidate(source_id, index_id, idx, t_range, snap,
-                                                       plan, c, ring.get(), &o, trace));
+        LOOM_RETURN_IF_ERROR(ProcessAggregateCandidate(source_id, index_id, idx, t_range,
+                                                       summaries, c, ring.get(), &o, trace));
         merge_outcome(o);
       }
     }

@@ -230,6 +230,12 @@ struct LoomOptions {
   Status Validate();
 };
 
+// Upper bound on the chunk-index bytes one query (one morsel, when parallel)
+// reads into memory at a time while loading candidate summaries. Runs of
+// cache misses are read in windows of at most this size; a single summary
+// frame larger than it is read on its own.
+inline constexpr size_t kSummaryBatchBytes = 256 << 10;
+
 // Legacy counter snapshot, now materialized from the metrics registry (the
 // registry is the source of truth; see Loom::metrics() for the full picture
 // including latency histograms).
@@ -588,12 +594,63 @@ class Loom {
     std::vector<Match> matches;
   };
 
-  // Loads candidate `c` of the plan and applies the candidate filters
-  // (retention floor re-checked here, per worker / per morsel; snapshot
-  // boundary; time-range overlap). A filtered-out candidate yields a null
-  // summary. Counts cache hits/misses into `trace`.
-  Result<std::shared_ptr<const ChunkSummary>> LoadCandidate(const CandidatePlan& plan, size_t c,
-                                                            const Snapshot& snap,
+  // Query-local loader of a plan's candidate summaries over candidates
+  // [begin, end): one per serial query, one per morsel when parallel, so
+  // serial and morsel execution share the same load path (LoadCandidate).
+  // Candidate frames are ascending and back to back in the chunk-index log.
+  // The loader takes them in batches: it probes the decoded-summary cache
+  // for every candidate of the batch, then reads each run of consecutive
+  // missed frames with one HybridLog::Read into a buffer of at most
+  // kSummaryBatchBytes, and decodes them with the per-frame checks (length
+  // sentinel, snapshot-tail bound). Decoded misses enter the cache only
+  // when the plan's chunk-index span fits the cache budget; a larger plan
+  // would sweep the whole cache (sequential flooding), so it uses its
+  // summaries without inserting them and counts them as bypassed.
+  class SummaryLoader {
+   public:
+    SummaryLoader(const Loom& loom, const CandidatePlan& plan, const Snapshot& snap,
+                  size_t begin, size_t end);
+    SummaryLoader(const SummaryLoader&) = delete;
+    SummaryLoader& operator=(const SummaryLoader&) = delete;
+
+    // Candidate `c`'s summary, before the candidate filters. Loads the
+    // batch starting at `c` unless `c` is already loaded; ascending visits
+    // load every batch once. Time spent loading accrues to
+    // trace->summary_nanos, reads to trace->summary_reads.
+    Result<std::shared_ptr<const ChunkSummary>> Get(size_t c, QueryTrace* trace);
+
+    const Snapshot& snap() const { return snap_; }
+
+   private:
+    struct Slot {
+      std::shared_ptr<const ChunkSummary> summary;
+      Status status;  // a load error, reported when the candidate is reached
+    };
+    void Fill(size_t c, QueryTrace* trace);
+    // Reads the missed candidates [r0, r1) with one read and decodes them.
+    void LoadRun(size_t r0, size_t r1, QueryTrace* trace);
+    // Decodes the frame at `addr`. Bytes inside [lo, hi) come from the run
+    // buffer; a frame reaching past it is read on its own.
+    Result<std::shared_ptr<const ChunkSummary>> DecodeFrame(uint64_t addr, uint64_t lo,
+                                                            uint64_t hi, QueryTrace* trace);
+
+    const Loom& loom_;
+    const CandidatePlan& plan_;
+    const Snapshot& snap_;
+    const size_t end_;
+    const bool insert_;  // plan span fits the cache budget: misses fill the cache
+    size_t batch_begin_ = 0;
+    std::vector<Slot> slots_;  // candidates [batch_begin_, batch_begin_ + size)
+    std::unique_ptr<uint8_t[]> buf_;
+    size_t buf_cap_ = 0;
+    std::vector<uint8_t> frame_;  // one frame that does not fit the run buffer
+  };
+
+  // Loads candidate `c` through `summaries` and applies the candidate
+  // filters (retention floor re-checked here, per worker / per morsel;
+  // snapshot boundary; time-range overlap). A filtered-out candidate yields
+  // a null summary. Counts cache hits/misses into `trace`.
+  Result<std::shared_ptr<const ChunkSummary>> LoadCandidate(SummaryLoader& summaries, size_t c,
                                                             TimeRange t_range,
                                                             QueryTrace* trace) const;
 
@@ -603,14 +660,14 @@ class Loom {
   // read-ahead window keeps advancing even across pruned candidates.
   Status ProcessAggregateCandidate(uint32_t source_id, uint32_t index_id,
                                    const IndexSnapshot& idx, TimeRange t_range,
-                                   const Snapshot& snap, const CandidatePlan& plan, size_t c,
+                                   SummaryLoader& summaries, size_t c,
                                    ChunkPrefetcher::Job* ring, ChunkOutcome* out,
                                    QueryTrace* trace) const;
   // Same for the IndexedScanValues path (prune decision + buffered matches).
   Status ProcessScanCandidate(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                               TimeRange t_range, ValueRange v_range, uint32_t first_bin,
-                              uint32_t last_bin, const Snapshot& snap, const CandidatePlan& plan,
-                              size_t c, ChunkPrefetcher::Job* ring, ChunkOutcome* out,
+                              uint32_t last_bin, SummaryLoader& summaries, size_t c,
+                              ChunkPrefetcher::Job* ring, ChunkOutcome* out,
                               QueryTrace* trace) const;
 
   // Submits the plan's candidate record chunks to the prefetch ring so chunk
@@ -711,11 +768,6 @@ class Loom {
   };
   Status AccumulateIndexed(uint32_t source_id, uint32_t index_id, const IndexSnapshot& idx,
                            TimeRange t_range, BinAccumulation* out, QueryTrace* trace) const;
-  // Returns the summary frame at `addr`, from the decoded-summary cache when
-  // possible, falling back to two log reads + decode (and then populating
-  // the cache).
-  Result<std::shared_ptr<const ChunkSummary>> ReadSummary(uint64_t addr, uint64_t chunk_tail,
-                                                          QueryTrace* trace) const;
   // Lazily drops cached summaries for chunks the record log no longer
   // retains. Called from query threads when the floor advanced.
   void MaybeInvalidateCacheForRetention(uint64_t floor) const;

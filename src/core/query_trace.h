@@ -47,6 +47,7 @@ struct QueryTrace {
 
   uint64_t cache_hits = 0;    // decoded-summary cache
   uint64_t cache_misses = 0;
+  uint64_t summary_reads = 0;  // chunk-index reads issued to load missed summaries
 
   // Archive tier (all zero when no archived data was consulted). These are
   // subsets of the chunks_* / bytes totals above, not additions to them:
@@ -66,12 +67,15 @@ struct QueryTrace {
   uint64_t parallel_workers = 0;
 
   // Stage timings (nanoseconds). plan = snapshot + candidate collection;
-  // scan = record-range scans and chain walks (summed across workers for a
-  // parallel query, so it reads as CPU time, not wall time); merge = the
-  // coordinator's combine step over per-morsel partials. Only measured when
-  // the caller passed a trace (detailed = true); total_nanos additionally
-  // feeds the per-operator histogram whenever latency metrics are enabled.
+  // summary = loading the candidates' chunk summaries (cache probe,
+  // chunk-index reads, decode); scan = record-range scans and chain walks;
+  // summary and scan are summed across workers for a parallel query, so
+  // they read as CPU time, not wall time. merge = the coordinator's combine
+  // step over per-morsel partials. Only measured when the caller passed a
+  // trace (detailed = true); total_nanos additionally feeds the per-operator
+  // histogram whenever latency metrics are enabled.
   uint64_t plan_nanos = 0;
+  uint64_t summary_nanos = 0;
   uint64_t scan_nanos = 0;
   uint64_t merge_nanos = 0;
   uint64_t total_nanos = 0;
@@ -93,7 +97,8 @@ struct QueryTrace {
          " matched=" + std::to_string(records_matched) +
          " bytes=" + std::to_string(bytes_read) +
          " cache_hit=" + std::to_string(cache_hits) + "/" +
-         std::to_string(cache_hits + cache_misses);
+         std::to_string(cache_hits + cache_misses) +
+         " summary_reads=" + std::to_string(summary_reads);
     if (tier_archives_consulted > 0 || tier_chunks_considered > 0) {
       s += " tier_archives=" + std::to_string(tier_archives_consulted) +
            " tier_chunks=" + std::to_string(tier_chunks_considered) +
@@ -106,6 +111,7 @@ struct QueryTrace {
          " morsels=" + std::to_string(parallel_morsels) + "x" +
          std::to_string(parallel_workers) +
          " plan_us=" + std::to_string(plan_nanos / 1000) +
+         " summary_us=" + std::to_string(summary_nanos / 1000) +
          " scan_us=" + std::to_string(scan_nanos / 1000) +
          " merge_us=" + std::to_string(merge_nanos / 1000) +
          " total_us=" + std::to_string(total_nanos / 1000) + "}";
@@ -123,7 +129,9 @@ struct QueryTrace {
     bytes_read += w.bytes_read;
     cache_hits += w.cache_hits;
     cache_misses += w.cache_misses;
+    summary_reads += w.summary_reads;
     plan_nanos += w.plan_nanos;
+    summary_nanos += w.summary_nanos;
     scan_nanos += w.scan_nanos;
   }
 };

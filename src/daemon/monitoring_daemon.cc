@@ -38,10 +38,10 @@ std::vector<SelfWatch> DefaultSelfWatches() {
   drops.alert.for_windows = 1;
   watches.push_back(std::move(drops));
   SelfWatch cache_hits;
-  // Exported as a gauge (cumulative value, not a delta): kMax per window is
-  // the hit count as of the window's end, so dashboards difference windows.
+  // A counter, so samples are per-tick deltas: kSum per window is the
+  // window's hit count.
   cache_hits.metric = "loom_cache_hits_total";
-  cache_hits.aggregate = StandingAggregate::kMax;
+  cache_hits.aggregate = StandingAggregate::kSum;
   watches.push_back(std::move(cache_hits));
   return watches;
 }

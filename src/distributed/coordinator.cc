@@ -229,6 +229,7 @@ SummaryCacheStats LoomCoordinator::AggregateCacheStats() const {
     total.misses += s.misses;
     total.evictions += s.evictions;
     total.invalidated += s.invalidated;
+    total.bypassed += s.bypassed;
     total.contention_fallbacks += s.contention_fallbacks;
     total.bytes_used += s.bytes_used;
     total.entries += s.entries;

@@ -178,6 +178,15 @@ void HybridLog::Publish() {
   queryable_tail_.store(tail_.load(std::memory_order_relaxed), std::memory_order_release);
 }
 
+void HybridLog::Drain() {
+  // Blocks [0, active_block_) are queued or flushed; the flusher counts a
+  // block only once its write succeeded.
+  while (flushed_block_count_.load(std::memory_order_acquire) < active_block_) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ApplyRetention();
+}
+
 void HybridLog::RotateTo(uint64_t block_no) {
   assert(block_no == active_block_ + 1);
   // Hand the filled block to the flusher. The queue is far larger than the

@@ -159,6 +159,13 @@ class HybridLog {
   // Makes everything appended so far visible to readers.
   void Publish();
 
+  // Blocks until every full block handed to the flusher so far is flushed,
+  // then applies retention to the flushed tail, so retained_floor() and
+  // flushed_tail() reflect every completed block. The active block stays in
+  // memory (Close() persists it). Like the writer's own recycle wait, this
+  // waits indefinitely if the flusher cannot write.
+  void Drain();
+
   // Total bytes appended (including padding). Exact from the writer thread;
   // other threads (stats scrapes) get a relaxed snapshot.
   uint64_t tail() const { return tail_.load(std::memory_order_relaxed); }

@@ -149,6 +149,7 @@ SummaryCacheStats SummaryCache::stats() const {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.invalidated = invalidated_.load(std::memory_order_relaxed);
+  s.bypassed = bypassed_.load(std::memory_order_relaxed);
   s.contention_fallbacks = contention_fallbacks_.load(std::memory_order_relaxed);
   s.bytes_used = bytes_used_.load(std::memory_order_relaxed);
   s.entries = entries_.load(std::memory_order_relaxed);

@@ -38,6 +38,12 @@
 // candidates by `chunk_addr >= floor`, so stale entries are harmless for
 // correctness; `InvalidateBelowRecordFloor` reclaims their memory (best
 // effort, try-lock, called from query threads when the floor advances).
+//
+// Scan resistance: the engine decides per query whether decoded misses are
+// inserted at all (see Loom::SummaryLoader). A query whose candidate frames
+// span more chunk-index bytes than the cache budget would evict everything
+// it inserted before reusing any of it, so it reads past the cache and the
+// misses it decoded count as `bypassed`.
 
 #ifndef SRC_INDEX_SUMMARY_CACHE_H_
 #define SRC_INDEX_SUMMARY_CACHE_H_
@@ -69,6 +75,7 @@ struct SummaryCacheStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;            // entries dropped by the LRU byte budget
   uint64_t invalidated = 0;          // entries dropped by retention
+  uint64_t bypassed = 0;             // decoded misses a scan-sized query kept out
   uint64_t contention_fallbacks = 0; // try_lock failures (lookup or insert)
   uint64_t bytes_used = 0;
   uint64_t entries = 0;
@@ -96,6 +103,11 @@ class SummaryCache {
   // contention or when the cache is disabled. `frame_len` is the encoded
   // length of the summary frame body (as read from the log's length prefix).
   void Insert(uint64_t addr, uint32_t frame_len, std::shared_ptr<const ChunkSummary> summary);
+
+  // Counts `n` decoded summaries that were used without being inserted: the
+  // engine keeps a query whose candidate span exceeds the cache budget from
+  // flooding the cache, so it serves such plans past it.
+  void NoteBypassed(uint64_t n) { bypassed_.fetch_add(n, std::memory_order_relaxed); }
 
   // Drops entries whose chunk data lies entirely below the record log's
   // retained floor. Best effort (try-lock per shard): a skipped shard is
@@ -154,6 +166,7 @@ class SummaryCache {
   mutable std::atomic<uint64_t> misses_{0};
   mutable std::atomic<uint64_t> evictions_{0};
   mutable std::atomic<uint64_t> invalidated_{0};
+  std::atomic<uint64_t> bypassed_{0};
   mutable std::atomic<uint64_t> contention_fallbacks_{0};
   std::atomic<uint64_t> bytes_used_{0};
   std::atomic<uint64_t> entries_{0};

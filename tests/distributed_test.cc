@@ -133,11 +133,13 @@ TEST_F(CoordinatorTest, AggregateCacheStatsSumsNodeEngines) {
     manual.misses += s.misses;
     manual.entries += s.entries;
     manual.bytes_used += s.bytes_used;
+    manual.bypassed += s.bypassed;
   }
   EXPECT_EQ(warm.hits, manual.hits);
   EXPECT_EQ(warm.misses, manual.misses);
   EXPECT_EQ(warm.entries, manual.entries);
   EXPECT_EQ(warm.bytes_used, manual.bytes_used);
+  EXPECT_EQ(warm.bypassed, manual.bypassed);
 }
 
 TEST_F(CoordinatorTest, AggregateMetricsMergesRegistrySnapshots) {

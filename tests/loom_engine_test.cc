@@ -685,6 +685,114 @@ TEST_F(LoomEngineTest, SummaryCacheDisabledByZeroBudget) {
   EXPECT_EQ(cache.entries, 0u);
 }
 
+// --- Batched summary loading ------------------------------------------------------
+
+// An engine holding more than a thousand finalized chunks of one indexed
+// source. The chunk index fits one chunk-index block, so the log's per-block
+// read counters count HybridLog::Read calls.
+class SummaryLoadingTest : public ::testing::Test {
+ protected:
+  static constexpr int kRecords = 15000;  // ~13 records per 1 KiB chunk
+
+  void Open(size_t summary_cache_bytes) {
+    LoomOptions opts;
+    opts.dir = dir_.FilePath("loom");
+    opts.chunk_size = 1024;
+    opts.record_block_size = 8192;
+    opts.chunk_index_block_size = 4 << 20;
+    opts.summary_cache_bytes = summary_cache_bytes;
+    opts.clock = &clock_;
+    auto loom = Loom::Open(opts);
+    ASSERT_TRUE(loom.ok()) << loom.status().ToString();
+    loom_ = std::move(loom.value());
+    ASSERT_TRUE(loom_->DefineSource(1).ok());
+    auto idx = loom_->DefineIndex(1, ValueIndexFunc(), HistogramSpec::Uniform(0, 100, 8).value());
+    ASSERT_TRUE(idx.ok());
+    index_id_ = idx.value();
+    for (int i = 0; i < kRecords; ++i) {
+      clock_.AdvanceNanos(1000);
+      ASSERT_TRUE(loom_->Push(1, ValuePayload(i % 100)).ok());
+    }
+    ASSERT_TRUE(loom_->Sync(1).ok());  // freeze the finalized-chunk set
+  }
+
+  // Arrival time of the i-th pushed record.
+  static TimestampNanos Ts(int i) { return 1 + 1000 * static_cast<TimestampNanos>(i + 1); }
+
+  static uint64_t Reads(const HybridLogStats& s) { return s.disk_reads + s.memory_reads; }
+
+  Result<double> Count(TimeRange range, QueryTrace* trace) {
+    return loom_->IndexedAggregate(1, index_id_, range, AggregateMethod::kCount, 0.0, trace);
+  }
+
+  TempDir dir_;
+  ManualClock clock_{1};
+  std::unique_ptr<Loom> loom_;
+  uint32_t index_id_ = 0;
+};
+
+TEST_F(SummaryLoadingTest, ColdQueryReadsTheChunkIndexInBufferSizedRuns) {
+  Open(LoomOptions{}.summary_cache_bytes);
+  const LoomStats before = loom_->stats();
+  QueryTrace cold;
+  auto count = Count({0, ~0ULL}, &cold);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count.value(), static_cast<double>(kRecords));
+  ASSERT_GE(cold.chunks_considered, 1000u);
+  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_GE(cold.cache_misses, cold.chunks_considered);
+
+  // The index size bounds the plan's chunk-index span.
+  const LoomStats after = loom_->stats();
+  const uint64_t index_reads = Reads(after.chunk_index_log) - Reads(before.chunk_index_log);
+  const uint64_t span = after.chunk_index_log.bytes_appended;
+  EXPECT_LE(index_reads, (span + kSummaryBatchBytes - 1) / kSummaryBatchBytes + 2);
+  EXPECT_GE(cold.summary_reads, 1u);
+  EXPECT_LE(cold.summary_reads, index_reads);
+  EXPECT_GT(cold.summary_nanos, 0u);
+
+  // The plan fits the default budget, so the repeat is served from memory.
+  QueryTrace warm;
+  auto again = Count({0, ~0ULL}, &warm);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), count.value());
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.summary_reads, 0u);
+  EXPECT_EQ(loom_->stats().summary_cache.bypassed, 0u);
+}
+
+TEST_F(SummaryLoadingTest, PlansWiderThanTheCacheBudgetBypassIt) {
+  Open(64 << 10);
+  // A narrow window spans a few frames: it fills the cache as before.
+  const TimeRange narrow{Ts(1000), Ts(1060)};
+  QueryTrace first;
+  auto narrow_count = Count(narrow, &first);
+  ASSERT_TRUE(narrow_count.ok());
+  EXPECT_EQ(narrow_count.value(), 61.0);
+  const SummaryCacheStats filled = loom_->stats().summary_cache;
+  EXPECT_GT(filled.entries, 0u);
+  EXPECT_EQ(filled.bypassed, 0u);
+
+  // The whole range spans far more chunk-index bytes than the budget: its
+  // decoded summaries are used without being inserted, so the cache keeps
+  // what it held.
+  QueryTrace wide;
+  auto wide_count = Count({0, ~0ULL}, &wide);
+  ASSERT_TRUE(wide_count.ok());
+  EXPECT_EQ(wide_count.value(), static_cast<double>(kRecords));
+  const SummaryCacheStats after_wide = loom_->stats().summary_cache;
+  EXPECT_EQ(after_wide.entries, filled.entries);
+  EXPECT_EQ(after_wide.evictions, filled.evictions);
+  EXPECT_EQ(after_wide.bypassed, filled.bypassed + wide.cache_misses);
+  EXPECT_GT(wide.cache_hits, 0u);  // it still reads what the cache holds
+
+  // The narrow window is still resident.
+  QueryTrace repeat;
+  ASSERT_TRUE(Count(narrow, &repeat).ok());
+  EXPECT_EQ(repeat.cache_misses, 0u);
+  EXPECT_GT(repeat.cache_hits, 0u);
+}
+
 TEST_F(LoomEngineTest, PushBatchMatchesPushResults) {
   ASSERT_TRUE(loom_->DefineSource(1).ok());
   auto idx = loom_->DefineIndex(1, ValueIndexFunc(), HistogramSpec::Uniform(0, 100, 8).value());

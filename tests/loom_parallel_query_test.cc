@@ -19,6 +19,7 @@
 #include "src/common/file.h"
 #include "src/common/rng.h"
 #include "src/core/loom.h"
+#include "src/query/drilldown.h"
 
 namespace loom {
 namespace {
@@ -68,7 +69,8 @@ class ParallelQueryTest : public ::testing::Test {
   std::unique_ptr<Loom> BuildEngine(const std::string& dir, size_t query_threads,
                                     ManualClock* clock, uint32_t* index_id,
                                     SimdMode simd_mode = SimdMode::kAuto,
-                                    size_t prefetch_depth = 4) {
+                                    size_t prefetch_depth = 4,
+                                    size_t summary_cache_bytes = 1 << 20) {
     LoomOptions opts;
     opts.dir = dir;
     opts.chunk_size = 1024;  // ~13 records per chunk -> hundreds of candidates
@@ -76,7 +78,7 @@ class ParallelQueryTest : public ::testing::Test {
     opts.chunk_index_block_size = 4096;
     opts.ts_index_block_size = 4096;
     opts.ts_marker_period = 8;
-    opts.summary_cache_bytes = 1 << 20;
+    opts.summary_cache_bytes = summary_cache_bytes;
     opts.query_threads = query_threads;
     opts.simd_mode = simd_mode;
     opts.prefetch_depth = prefetch_depth;
@@ -99,6 +101,10 @@ class ParallelQueryTest : public ::testing::Test {
       double v = rng.NextLogNormal(32.0, 1.1);
       EXPECT_TRUE(engine->Push(kSource, ValuePayload(v)).ok());
     }
+    // Drain the seal pipeline: engines compared bit for bit must agree on
+    // which chunks are summarized, or folded bin sums and scanned values
+    // add up in different orders.
+    EXPECT_TRUE(engine->Sync(kSource).ok());
     return engine;
   }
 
@@ -474,6 +480,84 @@ TEST_F(ParallelQueryTest, SingleWorkerPoolMatchesSerial) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(std::memcmp(&a.value(), &b.value(), sizeof(double)), 0);
+}
+
+// Batched summary loading serves every cache budget the same answers: the
+// cache disabled, a budget below one query's candidate span (the query
+// bypasses the cache), the default, and one larger than the whole chunk
+// index. Each engine runs every operator twice (cold, then warm), serially
+// and on a pool, and must match the serial reference bit for bit.
+TEST_F(ParallelQueryTest, AnswersBitIdenticalAcrossCacheBudgets) {
+  const TimestampNanos last = serial_clock_.NowNanos();
+  const std::vector<std::pair<AggregateMethod, double>> methods = {
+      {AggregateMethod::kCount, 0.0}, {AggregateMethod::kSum, 0.0},
+      {AggregateMethod::kMin, 0.0},   {AggregateMethod::kMax, 0.0},
+      {AggregateMethod::kMean, 0.0},  {AggregateMethod::kPercentile, 99.0},
+  };
+  auto collect = [](std::vector<Delivered>* out) {
+    return [out](const RecordView& r) {
+      out->push_back({r.ts, r.addr, PayloadValue(r.payload)});
+      return true;
+    };
+  };
+  auto topk = [&](const Loom* engine, uint32_t index_id) {
+    auto hits = DrillDown(engine).TopK(kSource, index_id, {0, last + 1}, 10);
+    EXPECT_TRUE(hits.ok());
+    std::vector<Delivered> out;
+    for (const RecordHit& h : hits.value()) {
+      out.push_back({h.ts, h.addr, h.value});
+    }
+    return out;
+  };
+  const std::vector<Delivered> want_topk = topk(serial_.get(), serial_index_);
+  const size_t budgets[] = {0, 64 << 10, LoomOptions{}.summary_cache_bytes, 64 << 20};
+  for (size_t budget : budgets) {
+    for (size_t threads : {size_t{0}, size_t{4}}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget) + " threads=" + std::to_string(threads));
+      ManualClock clock{1};
+      uint32_t index_id = 0;
+      std::unique_ptr<Loom> engine =
+          BuildEngine(dir_.FilePath("b" + std::to_string(budget) + "t" + std::to_string(threads)),
+                      threads, &clock, &index_id, SimdMode::kAuto, 4, budget);
+      for (int pass = 0; pass < 2; ++pass) {
+        for (const TimeRange& range : Ranges()) {
+          std::vector<Delivered> a;
+          std::vector<Delivered> b;
+          ASSERT_TRUE(serial_->RawScan(kSource, range, collect(&a)).ok());
+          ASSERT_TRUE(engine->RawScan(kSource, range, collect(&b)).ok());
+          EXPECT_EQ(a, b);
+          a.clear();
+          b.clear();
+          ASSERT_TRUE(
+              serial_->IndexedScan(kSource, serial_index_, range, {20.0, 50.0}, collect(&a)).ok());
+          ASSERT_TRUE(engine->IndexedScan(kSource, index_id, range, {20.0, 50.0}, collect(&b)).ok());
+          EXPECT_EQ(a, b);
+          auto count_a = serial_->CountRecords(kSource, range);
+          auto count_b = engine->CountRecords(kSource, range);
+          ASSERT_TRUE(count_a.ok() && count_b.ok());
+          EXPECT_EQ(count_a.value(), count_b.value());
+          for (const auto& [method, pct] : methods) {
+            auto x = serial_->IndexedAggregate(kSource, serial_index_, range, method, pct);
+            auto y = engine->IndexedAggregate(kSource, index_id, range, method, pct);
+            ASSERT_EQ(x.ok(), y.ok());
+            if (x.ok()) {
+              EXPECT_EQ(std::memcmp(&x.value(), &y.value(), sizeof(double)), 0);
+            }
+          }
+        }
+        EXPECT_EQ(topk(engine.get(), index_id), want_topk);
+      }
+      const SummaryCacheStats cache = engine->stats().summary_cache;
+      EXPECT_LE(cache.bytes_used, budget);
+      if (budget == (64 << 10)) {
+        EXPECT_GT(cache.bypassed, 0u);  // the whole-range plans skip the cache
+      }
+      if (budget == (64 << 20)) {
+        EXPECT_EQ(cache.bypassed, 0u);  // every plan fits
+        EXPECT_EQ(cache.evictions, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/file.h"
 #include "src/common/metrics.h"
+#include "src/core/loom.h"
 #include "src/core/query_trace.h"
 
 namespace loom {
@@ -274,6 +276,83 @@ TEST(QueryTraceTest, InvariantAndToString) {
   const std::string s = t.ToString();
   EXPECT_NE(s.find("indexed_aggregate"), std::string::npos);
   EXPECT_NE(s.find("10"), std::string::npos);
+}
+
+TEST(QueryTraceTest, SummaryStageIsAbsorbedAndPrinted) {
+  QueryTrace coordinator;
+  QueryTrace worker;
+  worker.chunks_considered = 5;  // classification stays the coordinator's
+  worker.cache_misses = 3;
+  worker.summary_reads = 2;
+  worker.summary_nanos = 7000;
+  coordinator.AbsorbWorker(worker);
+  coordinator.AbsorbWorker(worker);
+  EXPECT_EQ(coordinator.chunks_considered, 0u);
+  EXPECT_EQ(coordinator.cache_misses, 6u);
+  EXPECT_EQ(coordinator.summary_reads, 4u);
+  EXPECT_EQ(coordinator.summary_nanos, 14000u);
+  const std::string s = coordinator.ToString();
+  EXPECT_NE(s.find("summary_reads=4"), std::string::npos);
+  EXPECT_NE(s.find("summary_us=14"), std::string::npos);
+}
+
+// Cache counts are counters fed by deltas, so two engines sharing one
+// registry add up instead of overwriting each other, and repeated snapshots
+// never count twice. Residency is a level, exported as gauges.
+TEST(SummaryCacheMetricsTest, EnginesSharingARegistrySumTheirCounts) {
+  TempDir dir;
+  MetricsRegistry registry;
+  std::vector<std::unique_ptr<Loom>> engines;
+  for (int e = 0; e < 2; ++e) {
+    LoomOptions opts;
+    opts.dir = dir.FilePath("loom" + std::to_string(e));
+    opts.chunk_size = 1024;
+    opts.record_block_size = 8192;
+    opts.metrics = &registry;
+    auto loom = Loom::Open(opts);
+    ASSERT_TRUE(loom.ok());
+    Loom* l = loom->get();
+    ASSERT_TRUE(l->DefineSource(1).ok());
+    auto idx = l->DefineIndex(
+        1, [](std::span<const uint8_t> p) -> std::optional<double> { return p[0]; },
+        HistogramSpec::Uniform(0, 256, 8).value());
+    ASSERT_TRUE(idx.ok());
+    std::vector<uint8_t> payload(48, 0);
+    for (int i = 0; i < 2000 * (e + 1); ++i) {
+      payload[0] = static_cast<uint8_t>(i);
+      ASSERT_TRUE(l->Push(1, payload).ok());
+    }
+    ASSERT_TRUE(l->Sync(1).ok());
+    for (int q = 0; q < 2; ++q) {
+      ASSERT_TRUE(l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kSum).ok());
+    }
+    engines.push_back(std::move(loom.value()));
+  }
+  (void)registry.Snapshot();  // an earlier scrape must not be counted again
+  const MetricsSnapshot snap = registry.Snapshot();
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t entries = 0;
+  for (const auto& engine : engines) {
+    const SummaryCacheStats s = engine->stats().summary_cache;
+    hits += s.hits;
+    misses += s.misses;
+    entries += s.entries;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+  EXPECT_EQ(snap.counters.at("loom_cache_hits_total"), hits);
+  EXPECT_EQ(snap.counters.at("loom_cache_misses_total"), misses);
+  EXPECT_EQ(snap.counters.at("loom_cache_bypassed_total"), 0u);
+  for (const char* name : {"loom_cache_evictions_total", "loom_cache_invalidated_total"}) {
+    EXPECT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.gauges.count(name), 0u) << name;
+  }
+  EXPECT_EQ(snap.gauges.count("loom_cache_entries"), 1u);
+  EXPECT_EQ(snap.gauges.count("loom_cache_used_bytes"), 1u);
+  EXPECT_EQ(snap.counters.count("loom_cache_entries_total"), 0u);
+  EXPECT_EQ(snap.gauges.count("loom_cache_entries_total"), 0u);
+  EXPECT_GT(entries, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // reject malformed input with a clean status — random bytes, truncations,
 // and bit flips must never crash or hang.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstring>
 
@@ -143,6 +145,78 @@ TEST_F(ArchiveCorruptionTest, IntactArchiveStillScans) {
                 return true;
               }).ok());
   EXPECT_EQ(scanned, 2000u);
+}
+
+// --- Chunk-index frames on the batched load path -----------------------------
+
+// A summary frame whose length prefix is corrupt in the middle of a run that
+// the loader reads with one chunk-index read must still fail the query with
+// DataLoss, exactly as a frame read on its own does.
+TEST(SummaryFrameCorruptionTest, CorruptLengthInsideABatchedRunIsDataLoss) {
+  TempDir dir;
+  LoomOptions opts;
+  opts.dir = dir.FilePath("loom");
+  opts.chunk_size = 1024;
+  opts.record_block_size = 8192;
+  opts.chunk_index_block_size = 4096;  // most of the index is flushed to the file
+  opts.summary_cache_bytes = 0;        // every query loads its summaries cold
+  auto loom = Loom::Open(opts);
+  ASSERT_TRUE(loom.ok());
+  Loom* l = loom->get();
+  ASSERT_TRUE(l->DefineSource(1).ok());
+  auto idx = l->DefineIndex(
+      1,
+      [](std::span<const uint8_t> p) -> std::optional<double> {
+        return static_cast<double>(p[0]);
+      },
+      HistogramSpec::Uniform(0, 256, 8).value());
+  ASSERT_TRUE(idx.ok());
+  std::vector<uint8_t> payload(48, 0);
+  for (int i = 0; i < 6000; ++i) {
+    payload[0] = static_cast<uint8_t>(i);
+    ASSERT_TRUE(l->Push(1, payload).ok());
+  }
+  ASSERT_TRUE(l->Sync(1).ok());
+  auto intact = l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kSum);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+
+  // Walk the flushed prefix of chunk.idx: u32 length + body per frame, with
+  // 0xFFFFFFFF padding to the end of a block.
+  const std::string path = opts.dir + "/chunk.idx";
+  const uint64_t flushed = l->stats().chunk_index_log.blocks_flushed * 4096;
+  ASSERT_GT(flushed, 0u);
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  std::vector<uint8_t> bytes(flushed);
+  ASSERT_EQ(::pread(fd, bytes.data(), bytes.size(), 0), static_cast<ssize_t>(bytes.size()));
+  std::vector<uint64_t> frames;
+  for (uint64_t addr = 0; addr + 4 <= flushed;) {
+    uint32_t len;
+    std::memcpy(&len, bytes.data() + addr, 4);
+    if (len == 0xFFFFFFFFu) {
+      addr = (addr / 4096 + 1) * 4096;
+      continue;
+    }
+    if (addr + 4 + len > flushed) {
+      break;
+    }
+    frames.push_back(addr);
+    addr += 4 + len;
+  }
+  ASSERT_GE(frames.size(), 100u);
+  const uint64_t victim = frames[frames.size() / 2];
+  ASSERT_LT(victim, kSummaryBatchBytes);  // inside the first batched run
+  const uint32_t bad_len = 0x7FFFFFF0u;   // reaches past the snapshot tail
+  ASSERT_EQ(::pwrite(fd, &bad_len, 4, static_cast<off_t>(victim)), 4);
+  ::close(fd);
+
+  auto sum = l->IndexedAggregate(1, idx.value(), {0, ~0ULL}, AggregateMethod::kSum);
+  EXPECT_EQ(sum.status().code(), StatusCode::kDataLoss);
+  auto count = l->CountRecords(1, {0, ~0ULL});
+  EXPECT_EQ(count.status().code(), StatusCode::kDataLoss);
+  Status scan = l->IndexedScan(1, idx.value(), {0, ~0ULL}, {0, 256},
+                               [](const RecordView&) { return true; });
+  EXPECT_EQ(scan.code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -597,5 +597,65 @@ TEST_F(TieringTest, WithoutArchiveDirRetentionStaysLossy) {
   EXPECT_LT(count.value(), 8000u);  // retention dropped the old chunks
 }
 
+// The summary loader reads candidate summaries a batch at a time, ahead of
+// the candidates' record scans. A retention floor that advances after the
+// batch was loaded must still drop exactly the chunks it reclaimed: the
+// floor is re-checked per candidate, not per batch.
+TEST_F(TieringTest, FloorAdvancingMidQueryDropsExactlyTheReclaimedChunks) {
+  LoomOptions opts = BaseOptions();
+  opts.demote_batch_chunks = 8;
+  OpenEngine(opts);
+  Ingest(3000);
+  ASSERT_TRUE(loom_->Sync(1).ok());
+  DrainFlusher();
+  ASSERT_EQ(loom_->ArchiveCount(), 0u);
+
+  struct Row {
+    uint64_t addr;
+    double value;
+    bool operator==(const Row&) const = default;
+  };
+  const ValueRange all{-1.0, 1e9};
+  std::vector<Row> full;
+  ASSERT_TRUE(loom_
+                  ->IndexedScanValues(1, index_id_, {0, ~0ULL}, all,
+                                      [&](double v, const RecordView& r) {
+                                        full.push_back({r.addr, v});
+                                        return true;
+                                      })
+                  .ok());
+  ASSERT_EQ(full.size(), 3000u);
+
+  // Demote one batch of chunks while the first candidate's records are
+  // being delivered. The plan took no archives, so the reclaimed chunks
+  // vanish from this query's answer.
+  std::vector<Row> got;
+  ASSERT_TRUE(loom_
+                  ->IndexedScanValues(1, index_id_, {0, ~0ULL}, all,
+                                      [&](double v, const RecordView& r) {
+                                        if (got.empty()) {
+                                          EXPECT_TRUE(loom_->DemoteNow().ok());
+                                        }
+                                        got.push_back({r.addr, v});
+                                        return true;
+                                      })
+                  .ok());
+  ASSERT_EQ(loom_->ArchiveCount(), 1u);
+  // The floor is the barrier (the end of the last demoted chunk) rounded
+  // down to a record-log block.
+  const uint64_t barrier = static_cast<uint64_t>(
+      loom_->metrics()->Snapshot().gauges.at("loom_tier_retention_barrier_bytes"));
+  const uint64_t floor = barrier / 4096 * 4096;
+  ASSERT_GT(floor, opts.chunk_size);
+  std::vector<Row> want;
+  for (const Row& row : full) {
+    if (row.addr < opts.chunk_size || row.addr >= floor) {
+      want.push_back(row);  // the first chunk, delivered before the demotion
+    }
+  }
+  ASSERT_LT(want.size(), full.size());
+  EXPECT_EQ(got, want);
+}
+
 }  // namespace
 }  // namespace loom

@@ -173,6 +173,36 @@ for name in $required_standing; do
   fi
 done
 
+# The decoded-summary cache family (DESIGN.md "Decoded summary cache"):
+# counts are counters, residency levels are gauges.
+required_cache="
+loom_cache_hits_total
+loom_cache_misses_total
+loom_cache_evictions_total
+loom_cache_invalidated_total
+loom_cache_bypassed_total
+"
+required_cache_gauges="
+loom_cache_used_bytes
+loom_cache_entries
+"
+counter_names="$(extract Counter | sort -u)"
+gauge_names="$(extract Gauge | sort -u)"
+for name in $required_cache; do
+  total=$((total + 1))
+  if ! printf '%s\n' "$counter_names" | grep -qx "$name"; then
+    echo "BAD  $name  (required loom_cache_* counter is no longer registered as a counter)" >&2
+    fail=1
+  fi
+done
+for name in $required_cache_gauges; do
+  total=$((total + 1))
+  if ! printf '%s\n' "$gauge_names" | grep -qx "$name"; then
+    echo "BAD  $name  (required loom_cache_* gauge is no longer registered as a gauge)" >&2
+    fail=1
+  fi
+done
+
 if [ "$total" -lt 30 ]; then
   echo "BAD  extraction found only $total checked names; the grep patterns no longer match" \
     "the registration call sites" >&2
