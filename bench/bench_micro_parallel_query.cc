@@ -213,13 +213,13 @@ ColdResult RunColdQueries(const Engine& e, const TimeRange& range) {
     r.checksum = checksum;
   }
   const MetricsSnapshot snap = e.loom->metrics()->Snapshot();
-  const auto gauge = [&](const char* name) {
-    auto it = snap.gauges.find(name);
-    return it != snap.gauges.end() ? it->second : 0.0;
+  const auto counter = [&](const char* name) {
+    auto it = snap.counters.find(name);
+    return it != snap.counters.end() ? static_cast<double>(it->second) : 0.0;
   };
-  r.prefetch_issued = gauge("loom_query_prefetch_issued_total");
-  r.prefetch_hits = gauge("loom_query_prefetch_hits_total");
-  r.prefetch_wasted = gauge("loom_query_prefetch_wasted_total");
+  r.prefetch_issued = counter("loom_query_prefetch_issued_total");
+  r.prefetch_hits = counter("loom_query_prefetch_hits_total");
+  r.prefetch_wasted = counter("loom_query_prefetch_wasted_total");
   return r;
 }
 

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -153,18 +152,6 @@ Status LoomOptions::Validate() {
   if (query_threads > hw * 4) {
     query_threads = hw * 4;  // oversubscribing further only adds contention
   }
-  if (finalize_inflight_chunks == 0) {
-    finalize_inflight_chunks = 1;
-  }
-  if (seal_shards == 0) {
-    seal_shards = 1;
-  }
-  if (seal_shards > 32) {
-    seal_shards = 32;  // more workers than this only adds ticket contention
-  }
-  if (flush_inflight_blocks == 0) {
-    flush_inflight_blocks = 1;
-  }
   // A stage larger than this buys nothing (classify batches are already far
   // past the kernel's vector width) and bloats the per-index buffers.
   if (summary_stage_records > 4096) {
@@ -176,16 +163,6 @@ Status LoomOptions::Validate() {
 Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   LoomOptions opts = options;
   LOOM_RETURN_IF_ERROR(opts.Validate());
-  // LOOM_INGEST (inline|pipelined) overrides the pipelined_ingest option,
-  // mirroring LOOM_SIMD / LOOM_IO: a test matrix can force either ingest
-  // path without code changes. Unset/garbage keeps the configured value.
-  if (const char* env = std::getenv("LOOM_INGEST"); env != nullptr) {
-    if (std::strcmp(env, "inline") == 0) {
-      opts.pipelined_ingest = false;
-    } else if (std::strcmp(env, "pipelined") == 0) {
-      opts.pipelined_ingest = true;
-    }
-  }
   std::error_code ec;
   std::filesystem::create_directories(opts.dir, ec);
   if (ec) {
@@ -208,7 +185,6 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   rec_opts.retain_bytes = opts.record_retain_bytes;
   rec_opts.metrics = opts.metrics;
   rec_opts.metrics_prefix = "loom_hybridlog_record";
-  rec_opts.flush_inflight_blocks = opts.flush_inflight_blocks;
   rec_opts.io_backend = opts.io_backend;
   rec_opts.sync_policy = opts.sync_policy;
   rec_opts.group_commit_bytes = opts.group_commit_bytes;
@@ -220,14 +196,6 @@ Result<std::unique_ptr<Loom>> Loom::Open(const LoomOptions& options) {
   rec_opts.group_commits_metric = opts.metrics->AddCounter("loom_ingest_group_commits_total");
   rec_opts.group_commit_bytes_metric =
       opts.metrics->AddCounter("loom_ingest_group_commit_bytes");
-  // The writer needs a block to fill while a full coalescing batch is in
-  // flight; only the record log gets the bigger ring (index logs flush
-  // rarely and keep the double-buffer default).
-  rec_opts.num_blocks = std::max<size_t>(rec_opts.num_blocks, opts.flush_inflight_blocks + 1);
-  rec_opts.coalesced_writes_metric =
-      opts.metrics->AddCounter("loom_ingest_coalesced_writes_total");
-  rec_opts.coalesced_write_bytes_metric =
-      opts.metrics->AddCounter("loom_ingest_coalesced_write_bytes");
   auto record_log = HybridLog::Create(opts.dir + "/record.log", rec_opts);
   if (!record_log.ok()) {
     return record_log.status();
@@ -302,21 +270,9 @@ Loom::Loom(const LoomOptions& options, std::unique_ptr<MetricsRegistry> owned_me
     standing_ = std::make_unique<StandingQueryEngine>(std::move(standing_opts));
   }
   RegisterMetrics();
-  if (options_.pipelined_ingest) {
-    // Started after RegisterMetrics: the sealing workers observe the
-    // finalize-latency histogram from their first applied event. All queues
-    // exist before any worker runs so the metrics hook can sum depths.
-    pipeline_active_ = true;
-    seal_shards_.reserve(options_.seal_shards);
-    for (size_t i = 0; i < options_.seal_shards; ++i) {
-      auto shard = std::make_unique<SealShard>();
-      shard->queue = std::make_unique<SpscQueue<SealEvent>>(1024);
-      seal_shards_.push_back(std::move(shard));
-    }
-    for (size_t i = 0; i < seal_shards_.size(); ++i) {
-      seal_shards_[i]->worker = std::thread([this, i] { SealShardMain(i); });
-    }
-  }
+  // Started after RegisterMetrics: the sealing thread observes the
+  // finalize-latency histogram from its first applied event.
+  sealer_ = std::thread([this] { SealerMain(); });
 }
 
 Loom::~Loom() {
@@ -425,20 +381,22 @@ void Loom::RegisterMetrics() {
                                                       : 0.0);
   }
   if (options_.prefetch_depth > 0) {
-    // The ring keeps its own counters under its mutex; fold them into gauges
-    // at each Snapshot(), mirroring the summary-cache pattern.
-    Gauge* issued = metrics_->AddGauge("loom_query_prefetch_issued_total");
-    Gauge* hits = metrics_->AddGauge("loom_query_prefetch_hits_total");
-    Gauge* wasted = metrics_->AddGauge("loom_query_prefetch_wasted_total");
+    // The ring keeps its own counters under its mutex; a collection hook
+    // advances registry counters by the delta since its previous run, as the
+    // summary-cache hook does, so engines sharing a registry sum.
+    Counter* issued = metrics_->AddCounter("loom_query_prefetch_issued_total");
+    Counter* hits = metrics_->AddCounter("loom_query_prefetch_hits_total");
+    Counter* wasted = metrics_->AddCounter("loom_query_prefetch_wasted_total");
     Gauge* depth = metrics_->AddGauge("loom_query_prefetch_ring_depth");
     ChunkPrefetcher* ring = &prefetcher_;
-    prefetch_hook_id_ =
-        metrics_->AddCollectionHook([ring, issued, hits, wasted, depth] {
+    prefetch_hook_id_ = metrics_->AddCollectionHook(
+        [ring, issued, hits, wasted, depth, prev = ChunkPrefetcher::Stats{}]() mutable {
           const ChunkPrefetcher::Stats s = ring->stats();
-          issued->Set(static_cast<double>(s.issued));
-          hits->Set(static_cast<double>(s.hits));
-          wasted->Set(static_cast<double>(s.wasted));
+          issued->Increment(s.issued - prev.issued);
+          hits->Increment(s.hits - prev.hits);
+          wasted->Increment(s.wasted - prev.wasted);
           depth->Set(static_cast<double>(s.depth));
+          prev = s;
         });
   }
   {
@@ -458,22 +416,17 @@ void Loom::RegisterMetrics() {
     m_.tier_demote_seconds = metrics_->AddHistogram("loom_tier_demote_seconds");
   }
   {
-    // Ingest-pipeline family. The cumulative counters live in the engine /
-    // record log as writer-owned or pair-of-atomics state; a hook folds them
-    // into gauges at each Snapshot(), mirroring the summary-cache pattern.
+    // Ingest-pipeline family. Queue depths and the finalize lag are levels
+    // read from the engine / record log at each Snapshot().
     m_.ingest_chunks_sealed = metrics_->AddCounter("loom_ingest_chunks_sealed_total");
     m_.ingest_finalize_seconds = metrics_->AddHistogram("loom_ingest_finalize_seconds");
     m_.ingest_finalize_stall = metrics_->AddGauge("loom_ingest_finalize_stall_seconds_total");
-    Gauge* writer_stall = metrics_->AddGauge("loom_ingest_writer_stall_seconds_total");
     Gauge* flush_depth = metrics_->AddGauge("loom_ingest_flush_queue_depth");
     Gauge* finalize_depth = metrics_->AddGauge("loom_ingest_finalize_queue_depth");
-    Gauge* shard_depth_max = metrics_->AddGauge("loom_ingest_seal_shard_queue_depth_max");
     Gauge* finalize_lag = metrics_->AddGauge("loom_ingest_finalize_lag_chunks");
-    // Sealing-worker count (0 = inline ingest), so dashboards can tell the
-    // seal topology a node runs without reading its config.
-    Gauge* seal_shards_gauge = metrics_->AddGauge("loom_ingest_seal_shards");
-    seal_shards_gauge->Set(
-        options_.pipelined_ingest ? static_cast<double>(options_.seal_shards) : 0.0);
+    // Number of sealing threads: always 1. Kept so run reports that record
+    // the seal topology (e.g. perfbench's ingest condition) stay readable.
+    metrics_->AddGauge("loom_ingest_seal_shards")->Set(1.0);
     // Resolved flush backend as a mode gauge (0 sync, 1 io_uring), like
     // loom_query_kernel_mode; the fixed-buffer gauge says whether the
     // io_uring writer additionally registered the slot ring (WRITE_FIXED).
@@ -484,18 +437,9 @@ void Loom::RegisterMetrics() {
     write_fixed->Set(std::strcmp(io_name, "io_uring_fixed") == 0 ? 1.0 : 0.0);
     HybridLog* rec = record_log_.get();
     ingest_hook_id_ = metrics_->AddCollectionHook(
-        [this, rec, writer_stall, flush_depth, finalize_depth, shard_depth_max, finalize_lag] {
-          writer_stall->Set(static_cast<double>(rec->writer_stall_nanos()) * 1e-9);
+        [this, rec, flush_depth, finalize_depth, finalize_lag] {
           flush_depth->Set(static_cast<double>(rec->FlushQueueDepthApprox()));
-          size_t depth_sum = 0;
-          size_t depth_max = 0;
-          for (const auto& shard : seal_shards_) {
-            const size_t d = shard->queue->SizeApprox();
-            depth_sum += d;
-            depth_max = std::max(depth_max, d);
-          }
-          finalize_depth->Set(static_cast<double>(depth_sum));
-          shard_depth_max->Set(static_cast<double>(depth_max));
+          finalize_depth->Set(static_cast<double>(seal_queue_.SizeApprox()));
           const uint64_t sealed = chunks_sealed_.load(std::memory_order_relaxed);
           const uint64_t applied = chunks_finalize_applied_.load(std::memory_order_relaxed);
           finalize_lag->Set(sealed >= applied ? static_cast<double>(sealed - applied) : 0.0);
@@ -794,54 +738,28 @@ void Loom::FlushSummaryStages() {
 
 Status Loom::FinalizeChunk(TimestampNanos now) {
   // Per chunk, not per record: a full timer here is cheap and finalize
-  // latency (encode + two index appends) is a leading probe-effect signal.
+  // latency is a leading probe-effect signal.
   ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.chunk_finalize_seconds : nullptr);
   FlushSummaryStages();
   m_.chunks_finalized->Increment();
-  if (pipeline_active_ && options_.enable_chunk_index) {
-    // Publish the record log first: once a sealing worker applies this
-    // event it advances published_indexed_tail_ past the chunk, and §5.4
-    // requires every record byte below that watermark (the pad tail
-    // included) to be reader-visible already.
-    record_log_->Publish();
-    m_.ingest_chunks_sealed->Increment();
-    SealEvent ev;
-    ev.kind = SealEvent::Kind::kChunk;
-    // Detach (cheap state move) here; the expensive materialize + encode
-    // runs on the worker, off the record hot path.
-    ev.pending = builder_.Detach(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
-    ev.ts = now;
-    return EnqueueSealEvent(std::move(ev), /*is_chunk=*/true);
-  }
-  ChunkSummary summary =
-      builder_.Finalize(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
   if (!options_.enable_chunk_index) {
+    // Ablation: no summaries are kept, so there is nothing to seal.
+    builder_.Finalize(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
     return Status::Ok();
   }
-  std::vector<uint8_t> buf;
-  buf.reserve(4 + summary.EncodedSize());
-  PutU32(buf, static_cast<uint32_t>(summary.EncodedSize()));
-  summary.EncodeTo(buf);
-  auto addr = chunk_log_->Append(std::span<const uint8_t>(buf.data(), buf.size()));
-  if (!addr.ok()) {
-    return addr.status();
-  }
-  if (options_.enable_timestamp_index) {
-    auto event = ts_writer_.AppendChunkEvent(now, addr.value());
-    if (!event.ok()) {
-      return event.status();
-    }
-    m_.ts_entries->Increment();
-  }
-  if (standing_ != nullptr) {
-    if (standing_->has_queries()) {
-      // Standing rescans read the sealed chunk's record bytes through the
-      // published watermark, and the caller's PublishAll has not run yet.
-      record_log_->Publish();
-    }
-    standing_->OnChunkSealed(summary, now);
-  }
-  return Status::Ok();
+  // Publish the record log first: once the sealing thread applies this event
+  // it advances published_indexed_tail_ past the chunk, and §5.4 requires
+  // every record byte below that watermark (the pad tail included) to be
+  // reader-visible already.
+  record_log_->Publish();
+  m_.ingest_chunks_sealed->Increment();
+  SealEvent ev;
+  ev.kind = SealEvent::Kind::kChunk;
+  // Detach (cheap state move) here; the expensive materialize + encode runs
+  // on the sealing thread, off the record hot path.
+  ev.pending = builder_.Detach(active_chunk_start_, static_cast<uint32_t>(options_.chunk_size));
+  ev.ts = now;
+  return EnqueueSealEvent(std::move(ev));
 }
 
 Status Loom::MaybeWriteMarker(SourceState& src, TimestampNanos ts, uint64_t record_addr) {
@@ -853,50 +771,31 @@ Status Loom::MaybeWriteMarker(SourceState& src, TimestampNanos ts, uint64_t reco
     return Status::Ok();
   }
   src.records_since_marker = 0;
-  if (pipeline_active_) {
-    // The sealing thread owns the ts log (and the per-source marker chains)
-    // in pipelined mode. Publish the record log before routing the event:
-    // readers reached via a published marker must find the record.
-    record_log_->Publish();
-    SealEvent ev;
-    ev.kind = SealEvent::Kind::kMarker;
-    ev.source_id = src.id;
-    ev.record_addr = record_addr;
-    ev.ts = ts;
-    return EnqueueSealEvent(std::move(ev), /*is_chunk=*/false);
-  }
-  auto marker = ts_writer_.AppendRecordMarker(src.id, ts, record_addr, src.last_marker_addr);
-  if (!marker.ok()) {
-    return marker.status();
-  }
-  src.last_marker_addr = marker.value();
-  m_.ts_entries->Increment();
-  return Status::Ok();
+  // The sealing thread owns the ts log and the per-source marker chains.
+  // Publish the record log before enqueueing: readers reached via a
+  // published marker must find the record.
+  record_log_->Publish();
+  SealEvent ev;
+  ev.kind = SealEvent::Kind::kMarker;
+  ev.source_id = src.id;
+  ev.record_addr = record_addr;
+  ev.ts = ts;
+  return EnqueueSealEvent(std::move(ev));
 }
 
 void Loom::PublishAll(SourceState& src) {
-  if (pipeline_active_) {
-    // Pipelined ingest: the sealing thread publishes the chunk/ts logs and
-    // advances published_indexed_tail_ after each applied seal, in the same
-    // §5.4 order. Here only the record log and the per-source chain head are
-    // published; the indexed watermark lags until finalize lands, which
-    // readers already tolerate (a sealing chunk is unindexed tail, scanned
-    // raw against the record watermark).
-    record_log_->Publish();
-    if (!options_.enable_chunk_index) {
-      // Ablation: no summaries ever exist, so no seal events flow through the
-      // pipeline; advance the watermark inline exactly as the inline path.
-      published_indexed_tail_.store(active_chunk_start_, std::memory_order_release);
-    }
-    src.published_last_record.store(src.last_record_addr, std::memory_order_release);
-    return;
-  }
-  // §5.4 ordering: record log, then chunk index, then timestamp index, then
-  // the derived watermarks. Readers capture in the reverse order.
+  // The sealing thread publishes the chunk/ts logs and advances
+  // published_indexed_tail_ after each applied seal, in §5.4 order. Here
+  // only the record log and the per-source chain head are published; the
+  // indexed watermark lags until the seal lands, which readers already
+  // tolerate (a sealing chunk is unindexed tail, scanned raw against the
+  // record watermark).
   record_log_->Publish();
-  chunk_log_->Publish();
-  ts_log_->Publish();
-  published_indexed_tail_.store(active_chunk_start_, std::memory_order_release);
+  if (!options_.enable_chunk_index) {
+    // Ablation: no chunk seals ever flow through the pipeline, so the
+    // watermark advances here.
+    published_indexed_tail_.store(active_chunk_start_, std::memory_order_release);
+  }
   src.published_last_record.store(src.last_record_addr, std::memory_order_release);
 }
 
@@ -917,29 +816,21 @@ Status Loom::Sync(uint32_t source_id) {
 
 // --- Ingest pipeline ---------------------------------------------------------
 
-Status Loom::EnqueueSealEvent(SealEvent&& ev, bool is_chunk) {
+Status Loom::EnqueueSealEvent(SealEvent&& ev) {
   if (pipeline_failed_.load(std::memory_order_relaxed)) {
     return PipelineStatus();
   }
-  // Routing: chunk seals round-robin over the shards (by upcoming sequence
-  // number) so materialize + encode load-balances; markers by source hash so
-  // each source's marker chain lives on exactly one worker.
-  const size_t num_shards = seal_shards_.size();
-  const size_t shard_idx =
-      is_chunk ? static_cast<size_t>(seal_seq_next_ % num_shards)
-               : static_cast<size_t>((ev.source_id * 2654435761u) % num_shards);
-  SealShard& shard = *seal_shards_[shard_idx];
-  // Backpressure: cap sealed-but-unapplied chunks at the configured budget
-  // and never spin-move into a full queue. Producer-side SizeApprox is
-  // exact, and only the consumer shrinks it, so a free slot stays free.
-  const uint64_t budget = options_.finalize_inflight_chunks;
+  // Backpressure: cap sealed-but-unapplied chunks at kFinalizeInflightChunks
+  // and never spin-move into a full queue. Producer-side SizeApprox is exact,
+  // and only the consumer shrinks it, so a free slot stays free.
+  const bool is_chunk = ev.kind == SealEvent::Kind::kChunk;
   const auto must_wait = [&] {
-    if (shard.queue->SizeApprox() >= shard.queue->capacity()) {
+    if (seal_queue_.SizeApprox() >= seal_queue_.capacity()) {
       return true;
     }
     return is_chunk && chunks_sealed_.load(std::memory_order_relaxed) -
                                chunks_finalize_applied_.load(std::memory_order_acquire) >=
-                           budget;
+                           kFinalizeInflightChunks;
   };
   if (must_wait()) {
     const uint64_t t0 = MetricsNowNanos();
@@ -951,35 +842,23 @@ Status Loom::EnqueueSealEvent(SealEvent&& ev, bool is_chunk) {
       return PipelineStatus();
     }
   }
-  // The sequence number is stamped only once the event is certain to be
-  // pushed: a consumed-but-never-enqueued sequence would stall the apply
-  // ticket (and with it every shard) forever.
-  ev.seq = seal_seq_next_++;
   // Counters bump before the push so applied counts never pass enqueued.
   if (is_chunk) {
     chunks_sealed_.fetch_add(1, std::memory_order_relaxed);
   }
   events_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  const bool pushed = shard.queue->TryPush(std::move(ev));
+  const bool pushed = seal_queue_.TryPush(std::move(ev));
   (void)pushed;
   assert(pushed);
   return Status::Ok();
 }
 
-void Loom::WaitSealTurn(uint64_t seq) {
-  while (seal_seq_applied_.load(std::memory_order_acquire) != seq) {
-    std::this_thread::yield();
-  }
-}
-
-void Loom::SealShardMain(size_t shard_idx) {
-  SealShard& shard = *seal_shards_[shard_idx];
+void Loom::SealerMain() {
   std::vector<uint8_t> encode_buf;
-  // Marker chain heads for the sources hashed to this shard. Source-hash
-  // routing means no other worker ever touches these chains.
+  // Marker chain heads per source; only this thread touches them.
   std::unordered_map<uint32_t, uint64_t> marker_chains;
   for (;;) {
-    std::optional<SealEvent> ev = shard.queue->TryPop();
+    std::optional<SealEvent> ev = seal_queue_.TryPop();
     if (!ev.has_value()) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
       continue;
@@ -991,39 +870,27 @@ void Loom::SealShardMain(size_t shard_idx) {
     if (ev->kind == SealEvent::Kind::kChunk) {
       ScopedLatencyTimer timer(options_.enable_latency_metrics ? m_.ingest_finalize_seconds
                                                                : nullptr);
-      // Parallel stage: materialize the summary and encode the chunk-log
-      // frame before taking the apply ticket — this is the expensive part of
-      // finalization, and it runs concurrently across shards.
       ChunkSummary summary = ChunkSummaryBuilder::Materialize(std::move(ev->pending));
       encode_buf.clear();
       encode_buf.reserve(4 + summary.EncodedSize());
       PutU32(encode_buf, static_cast<uint32_t>(summary.EncodedSize()));
       summary.EncodeTo(encode_buf);
-      WaitSealTurn(ev->seq);
       if (!pipeline_failed_.load(std::memory_order_relaxed)) {
         st = ApplyChunkSeal(summary, ev->ts, encode_buf);
       }
-    } else {
-      WaitSealTurn(ev->seq);
-      if (!pipeline_failed_.load(std::memory_order_relaxed)) {
-        st = ApplyMarker(*ev, marker_chains);
-      }
+    } else if (!pipeline_failed_.load(std::memory_order_relaxed)) {
+      st = ApplyMarker(*ev, marker_chains);
     }
     if (!st.ok()) {
-      Status annotated(st.code(), "seal shard " + std::to_string(shard_idx) + ": " +
-                                      std::string(st.message()));
+      Status annotated(st.code(), "sealing thread: " + std::string(st.message()));
       std::lock_guard<std::mutex> lock(pipeline_mu_);
       if (pipeline_status_.ok()) {
         pipeline_status_ = std::move(annotated);
       }
       pipeline_failed_.store(true, std::memory_order_release);
     }
-    // The ticket advances even for failed or skipped events — the release
-    // store both unblocks the next sequence holder and hands it the
-    // single-writer chunk/ts log state this apply mutated.
-    seal_seq_applied_.store(ev->seq + 1, std::memory_order_release);
-    // Applied even on error (the event is consumed either way) so drains and
-    // the lag gauge terminate.
+    // Applied even on error or skip (the event is consumed either way) so
+    // drains and the lag gauge terminate.
     if (ev->kind == SealEvent::Kind::kChunk) {
       chunks_finalize_applied_.fetch_add(1, std::memory_order_release);
     }
@@ -1052,9 +919,9 @@ Status Loom::ApplyChunkSeal(const ChunkSummary& summary, TimestampNanos ts,
   }
   published_indexed_tail_.store(chunk_end, std::memory_order_release);
   if (standing_ != nullptr) {
-    // The apply ticket serializes seal events in global seal order, and the
-    // record bytes below chunk_end were published before the event was
-    // enqueued — exactly the ordering OnChunkSealed requires.
+    // Seals arrive here in seal order, and the record bytes below chunk_end
+    // were published before the event was enqueued — exactly the ordering
+    // OnChunkSealed requires.
     standing_->OnChunkSealed(summary, ts);
   }
   return Status::Ok();
@@ -1073,9 +940,6 @@ Status Loom::ApplyMarker(const SealEvent& ev, std::unordered_map<uint32_t, uint6
 }
 
 void Loom::DrainIngestPipeline() {
-  if (!pipeline_active_) {
-    return;
-  }
   while (events_applied_.load(std::memory_order_acquire) <
          events_enqueued_.load(std::memory_order_relaxed)) {
     std::this_thread::yield();
@@ -1083,24 +947,19 @@ void Loom::DrainIngestPipeline() {
 }
 
 void Loom::StopIngestPipeline() {
-  if (!pipeline_active_) {
+  if (!sealer_.joinable()) {
     return;
   }
   DrainIngestPipeline();
-  for (auto& shard : seal_shards_) {
-    for (;;) {
-      SealEvent stop;
-      stop.kind = SealEvent::Kind::kStop;
-      if (shard->queue->TryPush(std::move(stop))) {
-        break;
-      }
-      std::this_thread::yield();
+  for (;;) {
+    SealEvent stop;
+    stop.kind = SealEvent::Kind::kStop;
+    if (seal_queue_.TryPush(std::move(stop))) {
+      break;
     }
+    std::this_thread::yield();
   }
-  for (auto& shard : seal_shards_) {
-    shard->worker.join();
-  }
-  pipeline_active_ = false;
+  sealer_.join();
 }
 
 Status Loom::PipelineStatus() const {

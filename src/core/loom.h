@@ -142,30 +142,12 @@ struct LoomOptions {
   // 0 disables the ring (queries read through their scan-local caches only).
   size_t prefetch_depth = 4;
 
-  // --- Ingest pipeline (the write-path mirror of the query knobs above) ---
-
-  // Pipelined ingest: chunk finalization (summary materialization + encode +
-  // chunk-log append + ts-index appends) moves off the record hot path onto
-  // sealing workers with bounded queues. The §5.4 publish-ordering contract
-  // is preserved — published_indexed_tail_ never advances past an
-  // unfinalized chunk, so readers simply see sealing chunks as unindexed
-  // tail (scanned raw) until finalize lands; drained results are
-  // bit-identical to the inline path. On by default; the LOOM_INGEST
-  // environment variable (inline|pipelined) overrides this at Open, so test
-  // matrices and replay tools that rely on finalization being synchronous
-  // between individual pushes can force the inline path without code
-  // changes. Sync() drains the pipeline.
-  bool pipelined_ingest = true;
-
-  // Number of sealing workers (pipelined mode). Each sealed chunk's summary
-  // materialization and frame encode — the expensive part of finalization —
-  // runs on one of `seal_shards` workers in parallel; the serial tail
-  // (chunk-log append, ts-index append, watermark publish) is applied in
-  // global seal order via a ticket, so on-disk bytes and query results are
-  // bit-identical for any shard count. Chunk seals are distributed
-  // round-robin; ts record markers are routed by source hash so each
-  // source's marker chain stays on one worker. Validate() clamps to [1, 32].
-  size_t seal_shards = 1;
+  // --- Ingest (the write-path mirror of the query knobs above) ------------
+  //
+  // Chunk finalization (summary materialization + encode + chunk-log append
+  // + ts-index appends) always runs on one sealing thread fed by a bounded
+  // FIFO queue (see DESIGN.md §4). Readers see a sealing chunk as unindexed
+  // tail (scanned raw) until its seal lands; Sync() drains the queue.
 
   // Durability policy of the record log's flusher (see
   // src/hybridlog/hybrid_log.h): kNone syncs only at close, kGroup batches
@@ -179,18 +161,6 @@ struct LoomOptions {
   // since the oldest unsynced byte, whichever comes first.
   uint64_t group_commit_bytes = 1 << 20;
   uint64_t group_commit_interval_ms = 50;
-
-  // Bound on sealed-but-unfinalized chunks: ingest stalls (counted in
-  // loom_ingest_finalize_stall_seconds_total) rather than letting the
-  // indexed watermark fall arbitrarily behind. Minimum 1.
-  size_t finalize_inflight_chunks = 4;
-
-  // Record-log flusher budget: up to this many queued full blocks are
-  // coalesced into one vectored write per flush submission. 1 keeps the
-  // historical block-at-a-time flusher; Open sizes the record log's
-  // in-memory ring to flush_inflight_blocks + 1 slots (minimum 2) so the
-  // writer keeps filling while a batch is in flight.
-  size_t flush_inflight_blocks = 1;
 
   // Flush submission backend (see src/common/io_backend.h): kAuto resolves
   // the LOOM_IO env override (sync|io_uring|auto) and then probes the kernel
@@ -235,6 +205,11 @@ struct LoomOptions {
 // cache misses are read in windows of at most this size; a single summary
 // frame larger than it is read on its own.
 inline constexpr size_t kSummaryBatchBytes = 256 << 10;
+
+// Bound on sealed chunks not yet applied by the sealing thread: ingest stalls
+// (counted in loom_ingest_finalize_stall_seconds_total) rather than letting
+// the indexed watermark fall arbitrarily behind.
+inline constexpr size_t kFinalizeInflightChunks = 4;
 
 // Legacy counter snapshot, now materialized from the metrics registry (the
 // registry is the source of truth; see Loom::metrics() for the full picture
@@ -440,7 +415,6 @@ class Loom {
     uint64_t record_count = 0;
     // Writer-side chain heads.
     uint64_t last_record_addr = kNullAddr;
-    uint64_t last_marker_addr = kNullAddr;
     uint32_t records_since_marker = 0;
     size_t presence_slot = 0;
     // Indexes active on this source (writer side).
@@ -483,54 +457,37 @@ class Loom {
   // Flushes every index with staged data (called before each chunk seal).
   void FlushSummaryStages();
 
-  // --- Ingest pipeline (pipelined_ingest; see DESIGN.md) -------------------
+  // --- Ingest pipeline (see DESIGN.md §4) ---------------------------------
   //
-  // In pipelined mode the sealing workers are the *only* writers of the
-  // chunk and ts logs (both are single-writer). The ingest thread assigns
-  // every seal event a global sequence number and routes it to one of
-  // `seal_shards` SPSC queues: chunk seals round-robin by sequence, ts
-  // record markers by source hash (each source's marker chain stays on one
-  // worker). Workers run the expensive per-event work — summary
-  // materialization and frame encode — in parallel, then apply the serial
-  // tail (append + publish chunk log, then ts log, then
-  // published_indexed_tail_ — the §5.4 order) strictly in sequence order
-  // via a ticket: seal_seq_applied_ is the low-water-mark across shards,
-  // and its release/acquire hand-off transfers the single-writer log state
-  // between workers. Per-shard queues are FIFO in sequence, so the globally
-  // smallest unapplied sequence is always at some shard's head: the ticket
-  // never deadlocks, and tickets advance even for skipped (post-error)
-  // events.
+  // The sealing thread is the *only* writer of the chunk and ts logs (both
+  // are single-writer) and of the per-source ts marker chains. The ingest
+  // thread publishes the record log and then enqueues each chunk seal and
+  // ts record marker on one bounded SPSC queue; the sealing thread pops them
+  // in FIFO order, so it applies them in the order ingest produced them.
+  // Each chunk seal materializes and encodes the summary, then appends and
+  // publishes the chunk log, then the ts log, then published_indexed_tail_
+  // (the §5.4 order).
   struct SealEvent {
     enum class Kind : uint8_t { kChunk, kMarker, kStop };
     Kind kind = Kind::kChunk;
-    uint64_t seq = 0;          // global apply order (all kinds; not kStop)
-    // kChunk: detached builder state; the worker materializes + encodes it.
+    // kChunk: detached builder state; the sealing thread materializes it.
     ChunkSummaryBuilder::Pending pending;
     uint32_t source_id = 0;    // kMarker
     uint64_t record_addr = 0;  // kMarker
     TimestampNanos ts = 0;     // event timestamp (monotone in queue order)
   };
-  struct SealShard {
-    std::unique_ptr<SpscQueue<SealEvent>> queue;
-    std::thread worker;
-  };
-  void SealShardMain(size_t shard_idx);
-  // Spins until `seq` holds the apply ticket. The acquire pairs with the
-  // previous applier's release store, handing over the chunk/ts log state.
-  void WaitSealTurn(uint64_t seq);
+  void SealerMain();
   Status ApplyChunkSeal(const ChunkSummary& summary, TimestampNanos ts,
                         const std::vector<uint8_t>& buf);
   Status ApplyMarker(const SealEvent& ev, std::unordered_map<uint32_t, uint64_t>& chains);
-  // Blocks (counted as finalize stall) while the seal budget or the target
-  // shard's queue is full, then stamps the next sequence number and
-  // enqueues. Returns the sticky pipeline error, if any.
-  Status EnqueueSealEvent(SealEvent&& ev, bool is_chunk);
+  // Blocks (counted as finalize stall) while the seal budget or the queue is
+  // full, then enqueues. Returns the sticky pipeline error, if any.
+  Status EnqueueSealEvent(SealEvent&& ev);
   // Ingest thread: waits until every queued event has been applied.
   void DrainIngestPipeline();
-  // Destructor: drains, stops, and joins the sealing workers.
+  // Destructor: drains, stops, and joins the sealing thread.
   void StopIngestPipeline();
-  // First error any sealing worker hit (Ok when healthy), annotated with the
-  // shard that hit it.
+  // First error the sealing thread hit (Ok when healthy).
   Status PipelineStatus() const;
 
   // Query internals. Public query operators are thin wrappers that install a
@@ -855,9 +812,8 @@ class Loom {
 
   // Standing-query engine (null when enable_chunk_index is off — standing
   // evaluation folds ChunkSummaries, so without summaries there is nothing
-  // to evaluate). Fed from the seal path: FinalizeChunk inline, or
-  // ApplyChunkSeal on the sealing thread when pipelined. Declared after the
-  // logs: its rescan callback reads the record log.
+  // to evaluate). Fed from ApplyChunkSeal on the sealing thread. Declared
+  // after the logs: its rescan callback reads the record log.
   std::unique_ptr<StandingQueryEngine> standing_;
 
   // Decoded chunk-summary cache (null when disabled). Query threads only.
@@ -873,20 +829,16 @@ class Loom {
   std::vector<IndexState*> staged_indexes_;
   std::vector<uint32_t> stage_bins_;
 
-  // Ingest pipeline state (pipelined_ingest). The shards exist only when
-  // active. Counters pair up ingest-side (enqueued/sealed, relaxed) with
-  // worker-side (applied, release) so DrainIngestPipeline and the
-  // finalize-lag gauge need no lock. seal_seq_next_ is ingest-thread-only;
-  // seal_seq_applied_ is the apply ticket (see the SealEvent comment).
-  bool pipeline_active_ = false;
-  std::vector<std::unique_ptr<SealShard>> seal_shards_;
-  uint64_t seal_seq_next_ = 0;
-  std::atomic<uint64_t> seal_seq_applied_{0};
+  // Ingest pipeline state. Counters pair up ingest-side (enqueued/sealed,
+  // relaxed) with sealing-thread-side (applied, release) so
+  // DrainIngestPipeline and the finalize-lag gauge need no lock.
+  SpscQueue<SealEvent> seal_queue_{1024};
+  std::thread sealer_;
   std::atomic<uint64_t> events_enqueued_{0};
   std::atomic<uint64_t> events_applied_{0};
   std::atomic<uint64_t> chunks_sealed_{0};
   std::atomic<uint64_t> chunks_finalize_applied_{0};
-  // Sticky first worker error: the flag is checked (relaxed) on every
+  // Sticky first sealing error: the flag is checked (relaxed) on every
   // enqueue and by Sync(); the Status itself is behind pipeline_mu_.
   std::atomic<bool> pipeline_failed_{false};
   mutable std::mutex pipeline_mu_;

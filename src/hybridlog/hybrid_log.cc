@@ -75,10 +75,6 @@ Result<std::unique_ptr<HybridLog>> HybridLog::Create(const std::string& file_pat
   if (normalized.group_commit_bytes == 0) {
     normalized.group_commit_bytes = normalized.block_size;
   }
-  // The writer must always have a block to fill while a batch is in flight,
-  // so the coalescing budget cannot cover every slot.
-  normalized.flush_inflight_blocks =
-      std::max<size_t>(1, std::min(normalized.flush_inflight_blocks, normalized.num_blocks - 1));
   normalized.io_backend = ResolveIoBackend(normalized.io_backend);
   if (normalized.retain_bytes > 0) {
     // The in-memory blocks must always stay inside the retained window.
@@ -223,12 +219,6 @@ void HybridLog::RecycleSlot(uint64_t block_no) {
 
 void HybridLog::FlusherMain() {
   const size_t bs = options_.block_size;
-  const size_t budget = options_.flush_inflight_blocks;
-  std::vector<uint64_t> batch;
-  std::vector<struct iovec> iov;
-  batch.reserve(budget);
-  iov.reserve(budget);
-  bool stopping = false;
   // Group-commit state (sync_policy = kGroup): bytes flushed but not yet
   // covered by an fdatasync, and when the oldest of them was flushed.
   uint64_t unsynced_bytes = 0;
@@ -249,7 +239,7 @@ void HybridLog::FlusherMain() {
       first_unsynced_nanos = 0;
     }
   };
-  while (!stopping) {
+  for (;;) {
     std::optional<uint64_t> item = flush_queue_.TryPop();
     if (!item.has_value()) {
       // Idle tick: an interval-expired group commit drains here so a paused
@@ -266,52 +256,30 @@ void HybridLog::FlusherMain() {
     if (*item == kStopSentinel) {
       return;
     }
-    // Coalesce: drain up to `budget` already-queued blocks. The writer pushes
-    // block numbers in order, so a batch is always a consecutive run and its
-    // slots map to one contiguous file range. Slot memory stays stable for
-    // the whole batch — the writer cannot recycle a slot until
-    // flushed_block_count_ (advanced only below) passes it.
-    batch.clear();
-    batch.push_back(*item);
-    while (batch.size() < budget) {
-      std::optional<uint64_t> next = flush_queue_.TryPop();
-      if (!next.has_value()) {
-        break;
-      }
-      if (*next == kStopSentinel) {
-        stopping = true;
-        break;
-      }
-      assert(*next == batch.back() + 1);
-      batch.push_back(*next);
-    }
-    iov.clear();
-    for (uint64_t block_no : batch) {
-      iov.push_back({slots_[block_no % options_.num_blocks].get(), bs});
-    }
-    const uint64_t first = batch.front();
-    const uint64_t last = batch.back();
+    // The slot stays stable during the write: the writer cannot recycle it
+    // until flushed_block_count_ (advanced only below) passes it.
+    const uint64_t block_no = *item;
+    const struct iovec iov = {slots_[block_no % options_.num_blocks].get(), bs};
     const uint64_t flush_t0 = flush_seconds_ != nullptr ? SteadyNowNanos() : 0;
-    Status st = block_writer_->WriteV(file_, first * bs, iov.data(),
-                                      static_cast<int>(iov.size()));
+    Status st = block_writer_->WriteV(file_, block_no * bs, &iov, 1);
     // I/O errors here would lose historical data but must not corrupt the
-    // reader protocol: only count the batch as flushed on success, which
+    // reader protocol: only count the block as flushed on success, which
     // stalls the writer rather than serving bad reads.
     if (st.ok()) {
       // Publish the flushed tail first (the writer's recycle wait and the
       // durability watermark both key off it), then apply the sync policy so
       // the flush-latency histogram keeps covering write + sync.
-      flushed_bytes_.store((last + 1) * bs, std::memory_order_release);
-      flushed_block_count_.store(last + 1, std::memory_order_release);
+      flushed_bytes_.store((block_no + 1) * bs, std::memory_order_release);
+      flushed_block_count_.store(block_no + 1, std::memory_order_release);
       if (options_.sync_policy == SyncPolicy::kEveryBlock) {
         if (file_.Sync().ok()) {
-          synced_bytes_.store((last + 1) * bs, std::memory_order_release);
+          synced_bytes_.store((block_no + 1) * bs, std::memory_order_release);
         }
       } else if (options_.sync_policy == SyncPolicy::kGroup) {
         if (unsynced_bytes == 0) {
           first_unsynced_nanos = SteadyNowNanos();
         }
-        unsynced_bytes += batch.size() * bs;
+        unsynced_bytes += bs;
         if (unsynced_bytes >= options_.group_commit_bytes ||
             SteadyNowNanos() - first_unsynced_nanos >= group_interval_nanos) {
           group_commit();
@@ -321,22 +289,14 @@ void HybridLog::FlusherMain() {
         flush_seconds_->ObserveNanos(SteadyNowNanos() - flush_t0);
       }
       if (blocks_flushed_metric_ != nullptr) {
-        blocks_flushed_metric_->Increment(batch.size());
-      }
-      if (batch.size() > 1) {
-        if (options_.coalesced_writes_metric != nullptr) {
-          options_.coalesced_writes_metric->Increment();
-        }
-        if (options_.coalesced_write_bytes_metric != nullptr) {
-          options_.coalesced_write_bytes_metric->Increment(batch.size() * bs);
-        }
+        blocks_flushed_metric_->Increment();
       }
       // Retention: drop whole blocks that fall out of the retained window
       // and return their disk space. Readers observe the floor first (and
       // re-validate after copying), so a concurrent punch is never served as
       // data.
       if (options_.retain_bytes > 0) {
-        AdvanceRetention((last + 1) * bs);
+        AdvanceRetention((block_no + 1) * bs);
       }
     }
   }
@@ -406,7 +366,7 @@ Status HybridLog::Close() {
     flushed_bytes_.store(tail, std::memory_order_release);
   }
   // Durability audit: without sync_on_flush nothing above fdatasync'd, so the
-  // tail flush (and any batch the flusher wrote since the last sync) could
+  // tail flush (and any block the flusher wrote since the last sync) could
   // still sit in the page cache. One final fdatasync makes Close() mean "the
   // whole published log is on disk".
   if (tail > 0) {

@@ -47,10 +47,10 @@ namespace loom {
 inline constexpr uint64_t kNullAddr = ~0ULL;
 
 // When flushed bytes become *durable* (fdatasync), between the two historical
-// endpoints (§4.5: nothing until Close vs sync_on_flush on every batch):
+// endpoints (§4.5: nothing until Close vs sync_on_flush on every block):
 //   kNone       durability only at Close(); data-at-risk = everything since
 //               open (the paper's default — bounded by design, not by fsync).
-//   kGroup      group commit: the flusher batches fdatasync across coalesced
+//   kGroup      group commit: the flusher batches fdatasync across block
 //               flushes and issues one when either `group_commit_bytes` of
 //               unsynced data accumulate or `group_commit_interval_ms` passed
 //               since the oldest unsynced byte (checked on flush and on idle
@@ -92,13 +92,6 @@ struct HybridLogOptions {
   // it, so disk space is reclaimed). 0 = retain everything. Retention is
   // applied at block granularity after flushes.
   uint64_t retain_bytes = 0;
-  // Flusher in-flight block budget: up to this many queued full blocks are
-  // drained per flusher iteration and coalesced into one vectored write
-  // (adjacent block numbers are contiguous file offsets). 1 keeps the
-  // historical one-block-per-write behavior; Create clamps to
-  // [1, num_blocks - 1] so the writer always has a block to fill while the
-  // batch is in flight.
-  size_t flush_inflight_blocks = 1;
   // How flush submissions reach the kernel (see io_backend.h). kAuto resolves
   // the LOOM_IO env override, then probes for io_uring, falling back to
   // synchronous pwritev. Resolved once in Create.
@@ -108,13 +101,10 @@ struct HybridLogOptions {
   // "loom_hybridlog_record". The registry must outlive the log.
   MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix;
-  // Optional externally-registered counters for coalesced flush submissions
-  // (the engine registers these under its loom_ingest_* family and points the
-  // record log at them). Counted only for multi-block writes.
-  Counter* coalesced_writes_metric = nullptr;
-  Counter* coalesced_write_bytes_metric = nullptr;
-  // Optional counters for group commits (sync_policy = kGroup): submissions
-  // and the bytes each one made durable. Same engine-owned pattern as above.
+  // Optional externally-registered counters for group commits (sync_policy =
+  // kGroup): submissions and the bytes each one made durable. The engine
+  // registers these under its loom_ingest_* family and points the record log
+  // at them.
   Counter* group_commits_metric = nullptr;
   Counter* group_commit_bytes_metric = nullptr;
 };
@@ -268,7 +258,7 @@ class HybridLog {
 
   // Writer-local state. tail_ is written by the single appender only, but
   // stats()/tail() may sample it from any thread (the engine's metrics hooks
-  // and pipelined-ingest tests do), so it is a relaxed atomic rather than a
+  // and ingest-pipeline tests do), so it is a relaxed atomic rather than a
   // plain counter.
   std::atomic<uint64_t> tail_{0};  // next append address
   uint64_t active_block_ = 0;      // block number being written

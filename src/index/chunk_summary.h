@@ -144,8 +144,8 @@ class ChunkSummaryBuilder {
   // Detached accumulation state for one sealed chunk: the dirty slots' bin
   // arrays moved out of the builder (cheap — no walk) plus the chunk header
   // facts. Produced by Detach() on the ingest thread; Materialize() turns it
-  // into the ChunkSummary anywhere (the sharded seal path runs the expensive
-  // nonzero-bin walk and entry construction on a sealing worker).
+  // into the ChunkSummary anywhere (the engine runs the expensive nonzero-bin
+  // walk and entry construction on its sealing thread).
   struct Pending {
     struct Slot {
       uint32_t source_id = 0;

@@ -207,9 +207,9 @@ class StandingQueryEngine {
 
   // Seal-path hook: folds `summary` into every registered query's open
   // windows, advances the watermark to `seal_ts`, and emits every window
-  // that closed. Must be called in seal order from the thread that owns
-  // sealing (ingest thread inline, sealing thread pipelined); the record
-  // bytes of the sealed chunk must already be published for readers.
+  // that closed. Must be called in seal order from the engine's sealing
+  // thread; the record bytes of the sealed chunk must already be published
+  // for readers.
   void OnChunkSealed(const ChunkSummary& summary, TimestampNanos seal_ts);
 
   // Fast emptiness probe for the seal path (skips the publish fence when

@@ -211,13 +211,11 @@ TEST_F(DaemonTest, QueryThreadsWireThroughDaemonConfig) {
 }
 
 TEST_F(DaemonTest, PipelinedIngestWiresThroughDaemonConfig) {
-  // DaemonOptions.loom carries the ingest-pipeline knobs into the engine:
-  // with pipelined finalization on, daemon-fed ingest still answers queries
-  // exactly (chunks lagging finalize are scanned raw), and the seal traffic
-  // shows up in the loom_ingest_* metrics the daemon exports.
+  // DaemonOptions.loom carries the engine options into the engine: daemon-fed
+  // ingest through the sealing thread still answers queries exactly (chunks
+  // lagging finalize are scanned raw), and the seal traffic shows up in the
+  // loom_ingest_* metrics the daemon exports.
   DaemonOptions opts;
-  opts.loom.pipelined_ingest = true;
-  opts.loom.flush_inflight_blocks = 4;
   opts.loom.chunk_size = 2 << 10;
   auto daemon = StartDaemon(opts);
   auto channel = daemon->AddSource(kAppSource);
@@ -289,10 +287,10 @@ TEST_F(DaemonTest, TierKnobsWireThroughDaemonConfig) {
 
 TEST_F(DaemonTest, ConfigParserAcceptsAllSurfaces) {
   // Equals form, separate-value form, dashed and underscored keys.
-  auto args = ParseDaemonConfigArgs({"--pipelined-ingest=on", "--channel_capacity", "64",
+  auto args = ParseDaemonConfigArgs({"--enable-timestamp-index=off", "--channel_capacity", "64",
                                      "--self-telemetry", "true", "--dir=/tmp/x"});
   ASSERT_TRUE(args.ok()) << args.status().ToString();
-  EXPECT_TRUE(args.value().loom.pipelined_ingest);
+  EXPECT_FALSE(args.value().loom.enable_timestamp_index);
   EXPECT_EQ(args.value().channel_capacity, 64u);
   EXPECT_TRUE(args.value().self_telemetry);
   EXPECT_EQ(args.value().loom.dir, "/tmp/x");
@@ -310,31 +308,25 @@ TEST_F(DaemonTest, ConfigParserAcceptsAllSurfaces) {
   EXPECT_FALSE(text.value().loom.enable_latency_metrics);
 }
 
-TEST_F(DaemonTest, SealShardsAndSyncPolicyWireThroughDaemonConfig) {
-  // The sharded-sealing and durability knobs parse from both config
-  // surfaces: flag form with dashes, file form with underscores.
-  auto args = ParseDaemonConfigArgs({"--seal-shards=4", "--sync-policy=group",
-                                     "--group-commit-bytes", "65536",
+TEST_F(DaemonTest, SyncPolicyWiresThroughDaemonConfig) {
+  // The durability knobs parse from both config surfaces: flag form with
+  // dashes, file form with underscores.
+  auto args = ParseDaemonConfigArgs({"--sync-policy=group", "--group-commit-bytes", "65536",
                                      "--group-commit-interval-ms=10"});
   ASSERT_TRUE(args.ok()) << args.status().ToString();
-  EXPECT_EQ(args.value().loom.seal_shards, 4u);
   EXPECT_EQ(args.value().loom.sync_policy, SyncPolicy::kGroup);
   EXPECT_EQ(args.value().loom.group_commit_bytes, 65536u);
   EXPECT_EQ(args.value().loom.group_commit_interval_ms, 10u);
 
   auto text = ParseDaemonConfigText(
-      "seal_shards = 2\n"
       "sync_policy = every_block   # durability per flush\n"
       "group_commit_bytes = 4096\n");
   ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_EQ(text.value().loom.seal_shards, 2u);
   EXPECT_EQ(text.value().loom.sync_policy, SyncPolicy::kEveryBlock);
   EXPECT_EQ(text.value().loom.group_commit_bytes, 4096u);
 
-  // A daemon opened with them actually runs sharded: the engine publishes
-  // the shard count through its metrics surface.
+  // A daemon opened with them runs its engine under that policy.
   DaemonOptions opts;
-  opts.loom.seal_shards = 2;
   opts.loom.sync_policy = SyncPolicy::kGroup;
   opts.loom.chunk_size = 2 << 10;
   auto daemon = StartDaemon(opts);
@@ -345,8 +337,9 @@ TEST_F(DaemonTest, SealShardsAndSyncPolicyWireThroughDaemonConfig) {
   }
   daemon->Flush();
   EXPECT_EQ(daemon->records_ingested(), 1000u);
+  EXPECT_EQ(daemon->engine()->options().sync_policy, SyncPolicy::kGroup);
   const std::string page = daemon->engine()->metrics()->RenderPrometheus();
-  EXPECT_NE(page.find("loom_ingest_seal_shards 2"), std::string::npos);
+  EXPECT_NE(page.find("loom_ingest_group_commits_total"), std::string::npos);
 }
 
 TEST_F(DaemonTest, ConfigParserRejectsBadInput) {
@@ -355,8 +348,15 @@ TEST_F(DaemonTest, ConfigParserRejectsBadInput) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ApplyDaemonConfigOption(&opts, "chunk_size", "not_a_number").code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ApplyDaemonConfigOption(&opts, "pipelined_ingest", "maybe").code(),
+  EXPECT_EQ(ApplyDaemonConfigOption(&opts, "enable_chunk_index", "maybe").code(),
             StatusCode::kInvalidArgument);
+  // Keys of removed ingest modes are unknown now, not silently ignored.
+  for (const char* removed :
+       {"pipelined_ingest", "seal_shards", "finalize_inflight_chunks", "flush_inflight_blocks"}) {
+    const Status st = ApplyDaemonConfigOption(&opts, removed, "1");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << removed;
+    EXPECT_NE(st.message().find("unknown daemon config key"), std::string::npos) << removed;
+  }
   EXPECT_FALSE(ParseDaemonConfigArgs({"--chunk-size"}).ok());       // missing value
   EXPECT_FALSE(ParseDaemonConfigArgs({"chunk-size", "1"}).ok());    // no -- prefix
   EXPECT_FALSE(ParseDaemonConfigText("chunk_size 4096\n").ok());    // no '='

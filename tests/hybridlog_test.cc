@@ -324,61 +324,7 @@ TEST_P(HybridLogBlockCountTest, MoreBlocksStillCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(BlockCounts, HybridLogBlockCountTest, ::testing::Values(2, 3, 4, 8));
 
-// --- Coalesced flushes (flush_inflight_blocks) -------------------------------
-
-TEST(HybridLogCoalesceTest, CoalescedFlushReadbackAndCounters) {
-  TempDir dir;
-  MetricsRegistry registry;
-  Counter* writes = registry.AddCounter("loom_ingest_coalesced_writes_total");
-  Counter* bytes = registry.AddCounter("loom_ingest_coalesced_write_bytes");
-  HybridLogOptions opts;
-  opts.block_size = 256;
-  opts.num_blocks = 8;
-  opts.flush_inflight_blocks = 4;
-  opts.io_backend = IoBackend::kSync;
-  opts.coalesced_writes_metric = writes;
-  opts.coalesced_write_bytes_metric = bytes;
-  auto log = HybridLog::Create(dir.FilePath("log"), opts);
-  ASSERT_TRUE(log.ok());
-  constexpr int kCells = 400;  // 100 KiB >> the 2 KiB ring: plenty of batches
-  for (int i = 0; i < kCells; ++i) {
-    ASSERT_TRUE((*log)->Append(Pattern(256, static_cast<uint8_t>(i * 7))).ok());
-  }
-  (*log)->Publish();
-  for (int i = 0; i < kCells; ++i) {
-    std::vector<uint8_t> out(256);
-    ASSERT_TRUE((*log)->Read(static_cast<uint64_t>(i) * 256, out).ok());
-    EXPECT_EQ(out, Pattern(256, static_cast<uint8_t>(i * 7)));
-  }
-  ASSERT_TRUE((*log)->Close().ok());
-  // The final full block may go out via Close's tail write instead of the
-  // flusher, so the flusher count can trail by one.
-  EXPECT_GE((*log)->stats().blocks_flushed, static_cast<uint64_t>(kCells - 1));
-  // A 4-deep budget against a saturating writer must coalesce at least once;
-  // byte accounting covers whole blocks.
-  EXPECT_GT(writes->Value(), 0u);
-  EXPECT_GE(bytes->Value(), writes->Value() * 2 * opts.block_size);
-  EXPECT_EQ(bytes->Value() % opts.block_size, 0u);
-}
-
-TEST(HybridLogCoalesceTest, InflightBudgetClampedToRing) {
-  TempDir dir;
-  HybridLogOptions opts;
-  opts.block_size = 128;
-  opts.num_blocks = 2;
-  opts.flush_inflight_blocks = 100;  // clamped to num_blocks - 1 == 1
-  auto log = HybridLog::Create(dir.FilePath("log"), opts);
-  ASSERT_TRUE(log.ok());
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE((*log)->Append(Pattern(64, static_cast<uint8_t>(i))).ok());
-  }
-  (*log)->Publish();
-  for (int i = 0; i < 64; ++i) {
-    std::vector<uint8_t> out(64);
-    ASSERT_TRUE((*log)->Read(static_cast<uint64_t>(i) * 64, out).ok());
-    EXPECT_EQ(out, Pattern(64, static_cast<uint8_t>(i)));
-  }
-}
+// --- Close durability --------------------------------------------------------
 
 TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
   // Durability audit: after Close() the backing file holds every published
@@ -390,7 +336,6 @@ TEST(HybridLogCoalesceTest, CloseSyncsPublishedPrefixToDisk) {
     HybridLogOptions opts;
     opts.block_size = 256;
     opts.num_blocks = 4;
-    opts.flush_inflight_blocks = 3;
     auto log = HybridLog::Create(path, opts);
     ASSERT_TRUE(log.ok());
     for (int i = 0; i < kCells; ++i) {
@@ -554,7 +499,6 @@ TEST(HybridLogRegisteredBuffersTest, RoundTripThroughDisk) {
     HybridLogOptions opts;
     opts.block_size = 256;
     opts.num_blocks = 4;
-    opts.flush_inflight_blocks = 2;
     opts.register_buffers = true;
     auto log = HybridLog::Create(path, opts);
     ASSERT_TRUE(log.ok());

@@ -1,6 +1,7 @@
-// Pipelined ingest (async chunk finalization + staged summary construction):
-// bit-identical results vs the inline path, drain semantics, clean shutdown
-// with in-flight work, and reader visibility under concurrent ingest.
+// The ingest pipeline (one sealing thread + staged summary construction):
+// golden log bytes and query answers, drain semantics, sticky sealing
+// errors, clean shutdown with in-flight work, and reader visibility under
+// concurrent ingest.
 //
 // The whole suite is registered twice in CMake: once normally and once with
 // LOOM_IO=sync forced, pinning the synchronous flush backend.
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -106,32 +108,226 @@ uint32_t DefineValueIndex(Loom* loom) {
   return idx.value();
 }
 
-// The tentpole equivalence: pipelined ingest must produce the same query
-// results AND the same on-disk log bytes as the inline path (the §5.4 apply
-// order only defers work, it never changes it).
-TEST(IngestPipelineTest, PipelinedMatchesInlineBitIdentical) {
-  constexpr int kRecords = 2000;
-  TempDir dir;
-  QueryFingerprint fps[2];
-  for (int mode = 0; mode < 2; ++mode) {
-    ManualClock clock{1};
-    LoomOptions opts = SmallOptions(dir.FilePath(mode == 0 ? "inline" : "pipelined"), &clock);
-    opts.pipelined_ingest = mode == 1;
-    opts.flush_inflight_blocks = mode == 1 ? 4 : 1;
-    auto loom = Loom::Open(opts);
-    ASSERT_TRUE(loom.ok());
-    const uint32_t idx = DefineValueIndex(loom->get());
-    IngestWorkload(loom->get(), &clock, kRecords);
-    fps[mode] = Fingerprint(loom->get(), idx, clock.NowNanos());
+// --- Multi-source workload ---------------------------------------------------
+
+constexpr uint32_t kSources = 4;  // source ids 1..kSources
+
+double MultiSourceValue(uint32_t source, int i) {
+  return static_cast<double>((i * 37 + source * 101) % 1000) + 0.25;
+}
+
+LoomOptions MultiSourceOptions(const std::string& dir, ManualClock* clock) {
+  LoomOptions opts = SmallOptions(dir, clock);
+  opts.ts_marker_period = 8;
+  return opts;
+}
+
+// Defines sources 1..kSources, each with a 32-bin uniform value index.
+// Returns index ids keyed by source.
+std::map<uint32_t, uint32_t> DefineSources(Loom* loom) {
+  std::map<uint32_t, uint32_t> ids;
+  auto spec = HistogramSpec::Uniform(0, 1000, 32).value();
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    EXPECT_TRUE(loom->DefineSource(s).ok());
+    auto idx = loom->DefineIndex(s, ValueIndex, spec);
+    EXPECT_TRUE(idx.ok());
+    ids[s] = idx.value();
   }
-  EXPECT_EQ(fps[0].count, static_cast<uint64_t>(kRecords));
-  EXPECT_TRUE(fps[0] == fps[1]);
-  // Engines are closed: every log must be byte-identical across the modes.
-  for (const char* f : {"/record.log", "/chunk.idx", "/ts.idx"}) {
-    const auto a = ReadFileBytes(dir.FilePath("inline") + f);
-    const auto b = ReadFileBytes(dir.FilePath("pipelined") + f);
-    EXPECT_FALSE(a.empty()) << f;
-    EXPECT_EQ(a, b) << f;
+  return ids;
+}
+
+// Interleaved workload: record i goes to source (i % kSources) + 1, 1ms apart.
+void IngestMultiSource(Loom* loom, ManualClock* clock, int n) {
+  for (int i = 0; i < n; ++i) {
+    clock->AdvanceNanos(1'000'000);
+    const uint32_t source = static_cast<uint32_t>(i % kSources) + 1;
+    ASSERT_TRUE(loom->Push(source, ValuePayload(MultiSourceValue(source, i))).ok());
+  }
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    ASSERT_TRUE(loom->Sync(s).ok());
+  }
+}
+
+// 64-bit FNV-1a, folded incrementally over bytes and fixed-width values.
+struct Fnv1a {
+  uint64_t h = 14695981039346656037ull;
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 1099511628211ull;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void F64(double v) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    U64(bits);
+  }
+};
+
+uint64_t HashFile(const std::string& path) {
+  const std::vector<char> bytes = ReadFileBytes(path);
+  EXPECT_FALSE(bytes.empty()) << path;
+  Fnv1a f;
+  f.Bytes(bytes.data(), bytes.size());
+  return f.h;
+}
+
+// Hash of every query answer over every source: count, sum, min, max, p50,
+// histogram, and the full (addr, value) scan in log order.
+uint64_t MultiSourceQueryHash(Loom* loom, const std::map<uint32_t, uint32_t>& ids,
+                              TimestampNanos end) {
+  Fnv1a f;
+  const TimeRange all{0, end};
+  for (const auto& [source, index_id] : ids) {
+    f.U64(loom->CountRecords(source, all).value());
+    for (AggregateMethod m :
+         {AggregateMethod::kSum, AggregateMethod::kMin, AggregateMethod::kMax}) {
+      f.F64(loom->IndexedAggregate(source, index_id, all, m).value());
+    }
+    f.F64(loom->IndexedAggregate(source, index_id, all, AggregateMethod::kPercentile, 50)
+              .value());
+    const std::vector<uint64_t> hist = loom->IndexedHistogram(source, index_id, all).value();
+    f.U64(hist.size());
+    for (uint64_t b : hist) {
+      f.U64(b);
+    }
+    EXPECT_TRUE(loom->IndexedScanValues(source, index_id, all, ValueRange{0, 1000},
+                                        [&f](double v, const RecordView& r) {
+                                          f.U64(r.addr);
+                                          f.F64(v);
+                                          return true;
+                                        })
+                    .ok());
+  }
+  return f.h;
+}
+
+// Golden bytes: a 4-source interleaved workload must reproduce these FNV-1a
+// hashes of the three logs and of every query answer. When the engine could
+// still seal on the ingest thread or on 2 or 4 parallel sealing workers,
+// every one of those write paths produced exactly these bytes, so they pin
+// the single sealing thread to the same output.
+TEST(IngestPipelineTest, GoldenBytesMultiSource) {
+  constexpr uint64_t kRecordLogHash = 0x79f1085ac35f9254;
+  constexpr uint64_t kChunkIdxHash = 0xf6d102090983c8fd;
+  constexpr uint64_t kTsIdxHash = 0xb19e0b3db7634a52;
+  constexpr uint64_t kQueryHash = 0x49482f91b031c85a;
+  constexpr int kRecords = 4000;
+  TempDir dir;
+  uint64_t query_hash = 0;
+  {
+    ManualClock clock{1};
+    auto loom = Loom::Open(MultiSourceOptions(dir.FilePath("loom"), &clock));
+    ASSERT_TRUE(loom.ok());
+    const auto ids = DefineSources(loom->get());
+    IngestMultiSource(loom->get(), &clock, kRecords);
+    EXPECT_EQ((*loom)->CountRecords(1, TimeRange{0, clock.NowNanos()}).value(),
+              static_cast<uint64_t>(kRecords / kSources));
+    query_hash = MultiSourceQueryHash(loom->get(), ids, clock.NowNanos());
+  }
+  // Engine closed: the logs are complete on disk.
+  const std::string base = dir.FilePath("loom");
+  const uint64_t rec = HashFile(base + "/record.log");
+  const uint64_t chunk = HashFile(base + "/chunk.idx");
+  const uint64_t ts = HashFile(base + "/ts.idx");
+  EXPECT_EQ(rec, kRecordLogHash) << std::hex << rec;
+  EXPECT_EQ(chunk, kChunkIdxHash) << std::hex << chunk;
+  EXPECT_EQ(ts, kTsIdxHash) << std::hex << ts;
+  EXPECT_EQ(query_hash, kQueryHash) << std::hex << query_hash;
+}
+
+// Sync() drains the sealing queue for every source: right after it returns,
+// all sealed chunks are indexed, so a full-range query considers exactly the
+// finalized set.
+TEST(IngestPipelineTest, SyncDrainsMultiSourceSeals) {
+  TempDir dir;
+  ManualClock clock{1};
+  auto loom = Loom::Open(MultiSourceOptions(dir.FilePath("loom"), &clock));
+  ASSERT_TRUE(loom.ok());
+  auto ids = DefineSources(loom->get());
+  IngestMultiSource(loom->get(), &clock, 4000);
+  const uint64_t finalized = (*loom)->stats().chunks_finalized;
+  EXPECT_GT(finalized, 10u);
+  QueryTrace trace;
+  auto agg = (*loom)->IndexedAggregate(1, ids[1], TimeRange{0, clock.NowNanos()},
+                                       AggregateMethod::kCount, 0.0, &trace);
+  ASSERT_TRUE(agg.ok());
+  EXPECT_EQ(agg.value(), 1000.0);
+  EXPECT_EQ(trace.chunks_considered, finalized);
+  EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+}
+
+// An append failure on the sealing thread (chunk frame larger than the
+// index log's block) surfaces a sticky error naming the sealing thread;
+// later pushes fail fast and nothing deadlocks.
+TEST(IngestPipelineTest, StickySealErrorSurfaces) {
+  TempDir dir;
+  ManualClock clock{1};
+  LoomOptions opts = MultiSourceOptions(dir.FilePath("loom"), &clock);
+  opts.chunk_index_block_size = 128;  // every summary frame overflows this
+  auto loom = Loom::Open(opts);
+  ASSERT_TRUE(loom.ok());
+  DefineSources(loom->get());
+  Status last = Status::Ok();
+  for (int i = 0; i < 5000 && last.ok(); ++i) {
+    clock.AdvanceNanos(1'000'000);
+    const uint32_t source = static_cast<uint32_t>(i % kSources) + 1;
+    last = (*loom)->Push(source, ValuePayload(MultiSourceValue(source, i)));
+    if (last.ok()) {
+      last = (*loom)->Sync(source);  // surfaces the async failure promptly
+    }
+  }
+  ASSERT_FALSE(last.ok());
+  EXPECT_EQ(last.code(), StatusCode::kInvalidArgument) << last.ToString();
+  EXPECT_NE(last.message().find("sealing thread: "), std::string::npos) << last.ToString();
+  // Sticky: the same annotated error, immediately, with no new appends.
+  Status again = (*loom)->Push(1, ValuePayload(1.0));
+  EXPECT_FALSE(again.ok());
+  EXPECT_EQ(again.message(), last.message());
+}
+
+// Concurrent multi-source ingest + queries: snapshot isolation holds (counts
+// are monotone, trace accounting balances) while the sealing thread applies
+// chunk seals and every source's ts markers. Part of the TSan smoke.
+TEST(IngestPipelineTest, ConcurrentMultiSourceIngestAndQueries) {
+  TempDir dir;
+  ManualClock clock{1};
+  auto loom = Loom::Open(MultiSourceOptions(dir.FilePath("loom"), &clock));
+  ASSERT_TRUE(loom.ok());
+  auto ids = DefineSources(loom->get());
+  std::atomic<bool> done{false};
+  std::thread ingest([&] {
+    for (int i = 0; i < 12000; ++i) {
+      clock.AdvanceNanos(100'000);
+      const uint32_t source = static_cast<uint32_t>(i % kSources) + 1;
+      ASSERT_TRUE((*loom)->Push(source, ValuePayload(MultiSourceValue(source, i))).ok());
+    }
+    done.store(true);
+  });
+  std::vector<uint64_t> last(kSources + 1, 0);
+  uint64_t rounds = 0;
+  while (!done.load()) {
+    for (uint32_t s = 1; s <= kSources; ++s) {
+      const TimeRange all{0, clock.NowNanos()};
+      auto count = (*loom)->CountRecords(s, all);
+      ASSERT_TRUE(count.ok());
+      EXPECT_GE(count.value(), last[s]);
+      last[s] = count.value();
+      QueryTrace trace;
+      auto sum = (*loom)->IndexedAggregate(s, ids[s], all, AggregateMethod::kSum, 0.0, &trace);
+      ASSERT_TRUE(sum.ok());
+      EXPECT_EQ(trace.chunks_pruned + trace.chunks_scanned, trace.chunks_considered);
+    }
+    ++rounds;
+  }
+  ingest.join();
+  EXPECT_GT(rounds, 0u);
+  for (uint32_t s = 1; s <= kSources; ++s) {
+    ASSERT_TRUE((*loom)->Sync(s).ok());
+    auto count = (*loom)->CountRecords(s, TimeRange{0, clock.NowNanos()});
+    ASSERT_TRUE(count.ok());
+    EXPECT_EQ(count.value(), 3000u);
   }
 }
 
@@ -164,8 +360,6 @@ TEST(IngestPipelineTest, SyncDrainsFinalizeQueue) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
-  opts.finalize_inflight_chunks = 2;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   const uint32_t idx = DefineValueIndex(loom->get());
@@ -191,8 +385,6 @@ TEST(IngestPipelineTest, DestructorDrainsPendingFinalize) {
   uint64_t finalized = 0;
   {
     LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-    opts.pipelined_ingest = true;
-    opts.finalize_inflight_chunks = 1;  // maximize in-flight pressure
     auto loom = Loom::Open(opts);
     ASSERT_TRUE(loom.ok());
     DefineValueIndex(loom->get());
@@ -210,7 +402,7 @@ TEST(IngestPipelineTest, DestructorDrainsPendingFinalize) {
   EXPECT_GE(chunk_idx.size(), finalized * 36);
 }
 
-// Readers racing pipelined ingest (plus retention reclaiming old chunks)
+// Readers racing ingest (plus retention reclaiming old chunks)
 // never observe data past the published watermarks: every query either
 // succeeds with consistent trace accounting or hits nothing worse than the
 // retained suffix.
@@ -218,7 +410,6 @@ TEST(IngestPipelineTest, ConcurrentQueriesSeeConsistentWatermarks) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   opts.record_retain_bytes = 64 << 10;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
@@ -267,7 +458,6 @@ TEST(IngestPipelineTest, ConcurrentIngestExactCountAfterDrain) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   DefineValueIndex(loom->get());
@@ -318,13 +508,13 @@ TEST(IngestPipelineTest, CloseIndexMidChunkFlushesStage) {
   EXPECT_EQ(count.value(), 505.0);
 }
 
-// Pipelined mode composes with the chunk-index ablation: no seal events ever
-// flow, the watermark advances inline, and queries fall back to scans.
+// The pipeline composes with the chunk-index ablation: no chunk seals ever
+// flow, the watermark advances on the ingest thread, and queries fall back
+// to scans.
 TEST(IngestPipelineTest, PipelinedWithChunkIndexDisabled) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   opts.enable_chunk_index = false;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
@@ -336,13 +526,12 @@ TEST(IngestPipelineTest, PipelinedWithChunkIndexDisabled) {
   EXPECT_EQ(count.value(), 600.0);
 }
 
-// The ingest metrics family is registered and carries data after a pipelined
-// run (sealed counter, queue depth gauges, io-backend mode).
+// The ingest metrics family is registered and carries data after a run
+// (sealed counter, queue depth gauges, io-backend mode).
 TEST(IngestPipelineTest, IngestMetricsRegisteredAndPopulated) {
   TempDir dir;
   ManualClock clock{1};
   LoomOptions opts = SmallOptions(dir.FilePath("loom"), &clock);
-  opts.pipelined_ingest = true;
   auto loom = Loom::Open(opts);
   ASSERT_TRUE(loom.ok());
   DefineValueIndex(loom->get());
@@ -352,9 +541,7 @@ TEST(IngestPipelineTest, IngestMetricsRegisteredAndPopulated) {
   EXPECT_NE(text.find("loom_ingest_flush_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_finalize_queue_depth"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_finalize_lag_chunks"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_writer_stall_seconds_total"), std::string::npos);
   EXPECT_NE(text.find("loom_ingest_io_backend_mode"), std::string::npos);
-  EXPECT_NE(text.find("loom_ingest_coalesced_writes_total"), std::string::npos);
   const uint64_t sealed = (*loom)->stats().chunks_finalized;
   EXPECT_GT(sealed, 0u);
 }

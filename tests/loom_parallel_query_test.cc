@@ -426,7 +426,7 @@ TEST_F(ParallelQueryTest, ForcedScalarNoPrefetchBitIdentical) {
 }
 
 // Prefetch ring observability: a scan-heavy query on a prefetch-enabled
-// engine must account every issued read as a hit or wasted, and the gauges
+// engine must account every issued read as a hit or wasted, and the counters
 // must be absent when the ring is disabled.
 TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
   const TimestampNanos last = parallel_clock_.NowNanos();
@@ -445,15 +445,15 @@ TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
                     .ok());
     EXPECT_EQ(n, kNumRecords);
     snap = parallel_->metrics()->Snapshot();
-    if (snap.gauges.at("loom_query_prefetch_hits_total") > 0.0) {
+    if (snap.counters.at("loom_query_prefetch_hits_total") > 0) {
       break;
     }
   }
-  const double issued = snap.gauges.at("loom_query_prefetch_issued_total");
-  const double hits = snap.gauges.at("loom_query_prefetch_hits_total");
-  const double wasted = snap.gauges.at("loom_query_prefetch_wasted_total");
-  EXPECT_GT(issued, 0.0);
-  EXPECT_GT(hits, 0.0);
+  const uint64_t issued = snap.counters.at("loom_query_prefetch_issued_total");
+  const uint64_t hits = snap.counters.at("loom_query_prefetch_hits_total");
+  const uint64_t wasted = snap.counters.at("loom_query_prefetch_wasted_total");
+  EXPECT_GT(issued, 0u);
+  EXPECT_GT(hits, 0u);
   EXPECT_EQ(snap.gauges.at("loom_query_prefetch_ring_depth"), 4.0);
   // Conservation: every read the worker completed was either consumed or
   // retired as wasted; it cannot exceed what was issued.
@@ -464,7 +464,7 @@ TEST_F(ParallelQueryTest, PrefetchMetricsAccountIssuedReads) {
   std::unique_ptr<Loom> off =
       BuildEngine(dir_.FilePath("off"), 4, &clock, &index_id, SimdMode::kAuto,
                   /*prefetch_depth=*/0);
-  EXPECT_EQ(off->metrics()->Snapshot().gauges.count("loom_query_prefetch_issued_total"), 0u);
+  EXPECT_EQ(off->metrics()->Snapshot().counters.count("loom_query_prefetch_issued_total"), 0u);
 }
 
 // query_threads=1 still goes through the pool with one worker; it must be

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "src/workload/case_studies.h"
@@ -181,17 +182,25 @@ TEST(ProbeAppTest, NullSinkProducesThroughput) {
 }
 
 TEST(ProbeAppTest, ExpensiveSinkReducesThroughput) {
+  // Wall-clock throughput of one short run depends on the scheduler: on a
+  // loaded host a run that shares its core for the whole run reaches about
+  // half the rate of one that does not. Interference only ever lowers a
+  // run's rate, so compare the best of several interleaved runs per sink.
   ProbeAppConfig config;
-  config.seconds = 0.3;
-  auto fast = ProbeApp::Run(config, [](std::span<const uint8_t>) {});
+  config.seconds = 0.1;
+  constexpr int kRuns = 5;
   volatile uint64_t sum = 0;
-  auto slow = ProbeApp::Run(config, [&](std::span<const uint8_t> p) {
-    // A deliberately expensive sink.
-    for (int i = 0; i < 50; ++i) {
-      sum = sum + p[static_cast<size_t>(i) % p.size()];
-    }
-  });
-  EXPECT_LT(slow.ops_per_second, fast.ops_per_second);
+  double fast = 0, slow = 0;
+  for (int r = 0; r < kRuns; ++r) {
+    fast = std::max(fast, ProbeApp::Run(config, [](std::span<const uint8_t>) {}).ops_per_second);
+    slow = std::max(slow, ProbeApp::Run(config, [&](std::span<const uint8_t> p) {
+                            // A deliberately expensive sink.
+                            for (int i = 0; i < 50; ++i) {
+                              sum = sum + p[static_cast<size_t>(i) % p.size()];
+                            }
+                          }).ops_per_second);
+  }
+  EXPECT_LT(slow, fast);
 }
 
 TEST(ProbeAppTest, PayloadIsValidAppRecord) {

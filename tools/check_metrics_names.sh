@@ -8,6 +8,8 @@
 #   * every full name matches ^loom_[a-z0-9]+(_[a-z0-9]+)+$ (lower-snake,
 #     loom_ prefix, at least a subsystem and a name part);
 #   * counters end in _total or _bytes (monotonic counts / byte counts);
+#   * gauges do not end in _total (a cumulative count is a counter), except
+#     the names in gauge_total_allowed below;
 #   * histograms end in _seconds (latencies) or _records (size
 #     distributions);
 #   * hybrid-log style name fragments ("_flush_seconds" appended to a
@@ -56,9 +58,19 @@ while read -r name; do
   check "$name" "$counter_suffix" "counter must end in _total or _bytes"
 done < <(extract Counter | sort -u)
 
+# Gauges that still end in _total. loom_ingest_finalize_stall_seconds_total is
+# read as a gauge by the repository benchmark (perfbench/stream.h); it keeps
+# its name until a benchmark change renames it.
+gauge_total_allowed="loom_ingest_finalize_stall_seconds_total"
+
 while read -r name; do
   [ -z "$name" ] && continue
   check "$name" "$base" "gauge must be loom_<subsystem>_<name>..."
+  if [[ "$name" =~ _total$ ]] && ! printf '%s\n' $gauge_total_allowed | grep -qx "$name"; then
+    total=$((total + 1))
+    echo "BAD  $name  (gauge must not end in _total; register a counter fed by deltas)" >&2
+    fail=1
+  fi
 done < <(extract Gauge | sort -u)
 
 while read -r name; do
@@ -93,17 +105,13 @@ done < <(grep -rhoE 'metrics_prefix = "[^"]+"' "$src" --include='*.cc' --include
 # somewhere in src/ or dashboards built on them silently go dark.
 required_ingest="
 loom_ingest_chunks_sealed_total
-loom_ingest_coalesced_writes_total
-loom_ingest_coalesced_write_bytes
 loom_ingest_finalize_seconds
 loom_ingest_finalize_stall_seconds_total
-loom_ingest_writer_stall_seconds_total
 loom_ingest_flush_queue_depth
 loom_ingest_finalize_queue_depth
 loom_ingest_finalize_lag_chunks
 loom_ingest_io_backend_mode
 loom_ingest_seal_shards
-loom_ingest_seal_shard_queue_depth_max
 loom_ingest_group_commits_total
 loom_ingest_group_commit_bytes
 loom_ingest_io_write_fixed_mode
@@ -173,14 +181,18 @@ for name in $required_standing; do
   fi
 done
 
-# The decoded-summary cache family (DESIGN.md "Decoded summary cache"):
-# counts are counters, residency levels are gauges.
+# The decoded-summary cache family (DESIGN.md "Decoded summary cache") and
+# the prefetch ring's counts: counts are counters, residency levels are
+# gauges.
 required_cache="
 loom_cache_hits_total
 loom_cache_misses_total
 loom_cache_evictions_total
 loom_cache_invalidated_total
 loom_cache_bypassed_total
+loom_query_prefetch_issued_total
+loom_query_prefetch_hits_total
+loom_query_prefetch_wasted_total
 "
 required_cache_gauges="
 loom_cache_used_bytes
@@ -191,7 +203,7 @@ gauge_names="$(extract Gauge | sort -u)"
 for name in $required_cache; do
   total=$((total + 1))
   if ! printf '%s\n' "$counter_names" | grep -qx "$name"; then
-    echo "BAD  $name  (required loom_cache_* counter is no longer registered as a counter)" >&2
+    echo "BAD  $name  (required counter is no longer registered as a counter)" >&2
     fail=1
   fi
 done

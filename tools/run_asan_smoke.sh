@@ -8,8 +8,8 @@
 #   loom_ingest_pipeline_test  the sealing thread's SealEvent queue, staged
 #                              summary buffers, and the finalize drain paths
 #                              (destructor with work still queued included)
-#   hybridlog_test             block recycling, the coalesced multi-block
-#                              vectored flush, and close-time sync readback
+#   hybridlog_test             block recycling, the one-block vectored flush,
+#                              and close-time sync readback
 #   tiering_test               demotion payload staging (spans rebuilt over a
 #                              scan window), archive block decode buffers, and
 #                              the crash-safe tmp/rename write protocol

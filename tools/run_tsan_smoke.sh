@@ -9,10 +9,9 @@
 #                             live ingest, block recycling, and retention
 #   loom_parallel_query_test  the pool-backed executor: RunOrdered emission,
 #                             worker trace absorption, per-morsel floor checks
-#   loom_ingest_pipeline_test the pipelined write path: the sealing workers'
-#                             SealEvent queues, drains, and concurrent readers
-#   loom_seal_shards_test     sharded sealing: four workers racing on the
-#                             apply ticket under live ingest and queries
+#   loom_ingest_pipeline_test the write path: the sealing thread's SealEvent
+#                             queue, drains, sticky errors, and concurrent
+#                             multi-source ingest + queries
 #   tiering_test              the background demoter advancing the retention
 #                             barrier and catalog under live cross-tier queries
 #   standing_query_test       seal-path evaluation publishing window/alert
@@ -31,14 +30,13 @@ build="$repo/build-tsan"
 
 cmake --preset tsan -S "$repo" >/dev/null
 cmake --build "$build" --target loom_concurrency_test loom_parallel_query_test \
-  loom_ingest_pipeline_test loom_seal_shards_test tiering_test standing_query_test \
+  loom_ingest_pipeline_test tiering_test standing_query_test \
   net_test -j "$(nproc)"
 
 export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1 ${TSAN_OPTIONS:-}"
 "$build/tests/loom_concurrency_test"
 "$build/tests/loom_parallel_query_test"
 "$build/tests/loom_ingest_pipeline_test"
-"$build/tests/loom_seal_shards_test"
 "$build/tests/tiering_test"
 "$build/tests/standing_query_test"
 "$build/tests/net_test"
